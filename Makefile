@@ -30,7 +30,7 @@ test:
 # widths — under -race.
 race:
 	$(GO) test -race ./internal/par/... ./internal/experiments/... ./internal/sim/... ./internal/obs/... ./internal/pool/... ./internal/noc/... ./internal/kernel/... ./internal/kernel/protocol/... ./internal/fault/... ./internal/checkpoint/... ./internal/fleet/... ./internal/journal/...
-	$(GO) test -race -run 'TestFault|TestWatchdog|TestRecovery|TestRunWithTimeout|TestProtocolDeterminismMatrix|TestCheckpoint|TestWarmGrid' .
+	$(GO) test -race -run 'TestFault|TestWatchdog|TestRecovery|TestRunWithTimeout|TestProtocolDeterminismMatrix|TestCheckpoint|TestWarmGrid|TestCommandGoldens|TestCellKeyPinned|TestKnobCellsRunCold' .
 
 check: build vet fmt-check test race
 
@@ -52,10 +52,11 @@ fuzz-smoke:
 # ordered emission to be byte-identical to an uninterrupted run — across
 # two lock protocols, one and four workers, with seeded worker crashes
 # and heartbeat stalls throughout. The spool protocol and supervision
-# tests ride along under -race.
+# tests ride along under -race, as do cmd/sweep's checkpoint-directory
+# resume tests, which drive the same fleet.
 fleet-smoke:
 	$(GO) test -race -run 'TestChaosRecoveryInvariant|TestSpool|TestFleet' ./internal/fleet/
-	$(GO) test -race -run 'TestSweepFleet' ./cmd/sweep/
+	$(GO) test -race -run 'TestSweepFleet|TestSweepResume|TestSweepPartialResume|TestSweepInterrupted|TestSweepCheckpointDirIsSpool' ./cmd/sweep/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/noc/ .

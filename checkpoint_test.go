@@ -53,7 +53,6 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 			for _, poll := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
 					cfg := base
-					cfg.PollEngine = poll
 					cfg.Workers = workers
 					if workers > 1 {
 						// Force the sharded tick path (the 4x4 mesh is
@@ -62,10 +61,7 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 						ncfg.ParThreshold = -1
 						cfg.NoC = &ncfg
 					}
-					sys, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sys := newSystem(t, cfg, poll)
 					if _, err := sys.RunTo(mid); err != nil {
 						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: RunTo: %v",
 							proto, ocor, poll, workers, err)
@@ -79,6 +75,9 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: restore: %v",
 							proto, ocor, poll, workers, err)
+					}
+					if poll {
+						pollEngine(t, restored)
 					}
 					snap2, err := restored.Snapshot()
 					if err != nil {

@@ -15,7 +15,7 @@ import (
 	"os"
 	"strings"
 
-	"repro" // also installs the platform runner into the experiments package
+	"repro" // also installs the platform cell runner into the experiments package
 	"repro/internal/par"
 
 	"repro/internal/experiments"

@@ -11,13 +11,6 @@
 // curve must be reproducible). On SIGINT the completed prefix of points
 // is flushed with "truncated": true and the tool exits 130.
 //
-// The sweep runs every point cold rather than warm-starting from a
-// shared prefix checkpoint (the cmd/sweep optimisation): the fault plan
-// is part of the platform's checkpoint fingerprint — injector draws are
-// keyed by (seed, packet id, link id), so a prefix simulated under one
-// drop rate is not byte-equivalent to the same cycles under another —
-// which leaves nothing shareable across the rate ladder.
-//
 // Usage:
 //
 //	faultsweep -bench body -threads 16 -scale 0.1
@@ -32,7 +25,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro" // also installs the platform runners into the experiments package
+	"repro" // also installs the platform cell runner into the experiments package
 	"repro/internal/interrupt"
 	"repro/internal/par"
 

@@ -8,13 +8,6 @@
 // Output is a stable JSON report (byte-identical for any -j / -workers
 // setting); a human-readable leaderboard goes to stderr unless -v=false.
 //
-// Every arena cell deliberately runs cold from cycle zero rather than
-// warm-starting from a shared prefix checkpoint (the cmd/sweep
-// optimisation): the per-acquisition BT/COH histograms come from a
-// streaming observer attached at platform construction, and an observer
-// attached to a restored platform only sees events from the restore
-// point on — the histograms would silently lose the prefix.
-//
 // Usage:
 //
 //	lockarena                                 # all protocols, quick set
@@ -29,7 +22,7 @@ import (
 	"os"
 	"strings"
 
-	"repro" // installs the platform runners into the experiments package
+	"repro" // installs the platform cell runner into the experiments package
 	"repro/internal/par"
 
 	"repro/internal/experiments"

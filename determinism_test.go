@@ -24,19 +24,13 @@ func detProfile() workload.Profile {
 }
 
 // TestPollEngineMatchesEventEngine cross-checks the event-driven scheduler
-// against exhaustive polling: the same configuration must produce identical
-// results either way, for both the baseline and OCOR.
+// against the exhaustive-polling oracle: the same configuration must
+// produce identical results either way, for both the baseline and OCOR.
 func TestPollEngineMatchesEventEngine(t *testing.T) {
 	for _, ocor := range []bool{false, true} {
 		var got [2]metrics.Results
 		for i, poll := range []bool{false, true} {
-			sys, err := New(Config{
-				Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-				Seed: 7, PollEngine: poll,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys := newSystem(t, Config{Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7}, poll)
 			r, err := sys.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -59,19 +53,12 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 			var got [2]metrics.Results
 			var rec *obs.Recorder
 			for i, observe := range []bool{false, true} {
-				cfg := Config{
-					Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-					Seed: 7, PollEngine: poll,
-				}
+				cfg := Config{Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7}
 				if observe {
 					rec = obs.NewRecorder(0)
 					cfg.Obs = rec
 				}
-				sys, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := sys.Run()
+				r, err := newSystem(t, cfg, poll).Run()
 				if err != nil {
 					t.Fatal(err)
 				}

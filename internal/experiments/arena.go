@@ -14,9 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/kernel/protocol"
-	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -85,26 +83,6 @@ func SummarizeHist(h *obs.LogHist) HistSummary {
 	}
 }
 
-// ArenaRun is what the platform returns for one arena cell: the standard
-// results plus the streaming BT/COH histograms and the kernel-side
-// handoff/queue-depth counters the protocol's queue discipline drives.
-type ArenaRun struct {
-	Results       metrics.Results
-	BT, COH       obs.LogHist
-	Handoffs      uint64
-	MaxQueueDepth int
-}
-
-// ArenaRunner is the platform entry point for one arena cell, installed
-// by the root package alongside Runner.
-type ArenaRunner func(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, workers int) (ArenaRun, error)
-
-var arenaRunner ArenaRunner
-
-// SetArenaRunner installs the arena entry point (the root package calls
-// this from the same init as SetRunner).
-func SetArenaRunner(r ArenaRunner) { arenaRunner = r }
-
 // ArenaCell is one benchmark under one {protocol, OCOR} combination.
 type ArenaCell struct {
 	Bench         string      `json:"bench"`
@@ -157,12 +135,9 @@ func RunArena(o ArenaOptions, progress io.Writer) (ArenaReport, error) {
 	if err != nil {
 		return ArenaReport{}, err
 	}
-	if arenaRunner == nil {
-		return ArenaReport{}, fmt.Errorf("experiments: no arena runner installed")
-	}
 	profs := make([]workload.Profile, len(o.Benches))
 	for i, name := range o.Benches {
-		p, err := lookupProfile(name)
+		p, err := workload.ByName(name)
 		if err != nil {
 			return ArenaReport{}, err
 		}
@@ -175,15 +150,14 @@ func RunArena(o ArenaOptions, progress io.Writer) (ArenaReport, error) {
 	// as each combination's last benchmark completes.
 	nb := len(profs)
 	combos := 2 * len(o.Protocols)
-	runs, err := par.Map(combos*nb, par.SharedCoreBudget(o.Jobs, o.Workers), func(i int) (ArenaRun, error) {
-		c, b := i/nb, i%nb
-		proto, ocor := o.Protocols[c/2], c%2 == 1
-		run, err := arenaRunner(profs[b], o.Threads, ocor, o.Seed, proto, o.Workers)
-		if err != nil {
-			return ArenaRun{}, fmt.Errorf("experiments: arena %s ocor=%v %s: %w", proto, ocor, profs[b].Name, err)
+	var cells []Cell
+	for c := 0; c < combos; c++ {
+		for _, p := range profs {
+			cells = append(cells, Cell{Profile: p, Threads: o.Threads, OCOR: c%2 == 1, Seed: o.Seed,
+				Protocol: o.Protocols[c/2], Workers: o.Workers, Observe: true})
 		}
-		return run, nil
-	}, func(i int, v ArenaRun) {
+	}
+	runs, _, err := RunGrid(cells, GridOptions{Jobs: o.Jobs}, func(i int, _ CellResult) {
 		if progress == nil || i%nb != nb-1 {
 			return
 		}

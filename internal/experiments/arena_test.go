@@ -8,39 +8,35 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
-// fakeArenaRunner produces synthetic cells with a strict speed order:
-// mcs < cna < reciprocating < mutable < baseline on ROI, OCOR shaving a
-// constant off each, so the leaderboard ranking is fully predictable.
-func fakeArenaRunner(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, workers int) (ArenaRun, error) {
+// fakeArenaCell produces synthetic observer cells with a strict speed
+// order: mcs < cna < reciprocating < mutable < baseline on ROI, OCOR
+// shaving a constant off each, so the leaderboard ranking is fully
+// predictable.
+func fakeArenaCell(c Cell) (CellResult, error) {
 	speed := map[string]uint64{"mcs": 1000, "cna": 2000, "reciprocating": 3000, "mutable": 4000, "baseline": 5000}
-	roi := speed[protocol]
-	if ocor {
+	roi := speed[c.Protocol]
+	if c.OCOR {
 		roi -= 500
 	}
-	run := ArenaRun{
+	run := CellResult{
 		Results: metrics.Results{
-			Benchmark: p.Name, OCOR: ocor, Threads: threads,
+			Benchmark: c.Profile.Name, OCOR: c.OCOR, Threads: c.Threads,
 			ROIFinish: roi, TotalBT: roi / 2, TotalCOH: roi / 4,
 			Acquisitions: 10, SpinFraction: 0.5,
 		},
-		Handoffs:      7,
-		MaxQueueDepth: 3,
 	}
-	run.BT.Observe(roi / 10)
-	run.BT.Observe(roi / 5)
-	run.COH.Observe(roi / 20)
+	if c.Observe {
+		run.Handoffs, run.MaxQueueDepth = 7, 3
+		run.BT.Observe(roi / 10)
+		run.BT.Observe(roi / 5)
+		run.COH.Observe(roi / 20)
+	}
 	return run, nil
 }
 
-func withFakeArena(t *testing.T) {
-	t.Helper()
-	old := arenaRunner
-	SetArenaRunner(fakeArenaRunner)
-	t.Cleanup(func() { SetArenaRunner(old) })
-}
+func withFakeArena(t *testing.T) { withRunner(t, fakeArenaCell) }
 
 func TestArenaLeaderboardRanking(t *testing.T) {
 	withFakeArena(t)

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -89,37 +88,31 @@ func (o Options) profiles() []workload.Profile {
 	return out
 }
 
-// Runner abstracts the platform entry point so the experiments package
-// does not import the root package (which imports this one). The root
-// package installs its runner at init time. levels selects the number of
-// priority levels (0 = the paper default of 8); protocol the kernel lock
-// algorithm ("" = default); nopool disables object recycling
-// (Options.NoPool); workers is the intra-simulation parallelism width
-// (Options.Workers).
-type Runner func(p workload.Profile, threads int, ocor bool, levels int, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, error)
-
-// TraceRunner additionally returns a rendered execution-profile timeline
-// (Fig. 10) covering the first `window` cycles of `traceThreads` threads.
-type TraceRunner func(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, traceThreads int, window uint64, nopool bool, workers int) (metrics.Results, string, error)
-
-var (
-	runner Runner
-	tracer TraceRunner
-)
-
-// SetRunner installs the simulation entry points. The root package calls
-// this from an init function.
-func SetRunner(r Runner, t TraceRunner) { runner, tracer = r, t }
-
-func (o Options) run(p workload.Profile, threads int, ocor bool, seed uint64) (metrics.Results, error) {
-	return runner(p, threads, ocor, 0, seed, o.Protocol, o.NoPool, o.Workers)
+// cell returns the plain cell of profile p under the options' seed,
+// protocol and widths.
+func (o Options) cell(p workload.Profile, threads int, ocor bool) Cell {
+	return Cell{Profile: p, Threads: threads, OCOR: ocor, Seed: o.Seed,
+		Protocol: o.Protocol, NoPool: o.NoPool, Workers: o.Workers}
 }
 
-// effectiveJobs resolves the outer concurrency bound passed to par.Map:
-// Jobs and Workers compose through par.SharedCoreBudget, so jobs × workers
-// stays within the machine's core budget (and never drops below one job).
-func (o Options) effectiveJobs() int {
-	return par.SharedCoreBudget(o.Jobs, o.Workers)
+// grid runs cells through RunGrid under the options' job budget.
+func (o Options) grid(cells []Cell, emit func(i int, r CellResult)) ([]CellResult, error) {
+	res, _, err := RunGrid(cells, GridOptions{Jobs: o.Jobs}, emit)
+	return res, err
+}
+
+// pairs adapts an emitter over baseline/OCOR-interleaved cells (even
+// index = baseline): f sees each pair once its OCOR half arrives, which
+// RunGrid's in-order emission makes deterministic for any Jobs.
+func pairs(f func(k int, base, ocor CellResult)) func(i int, r CellResult) {
+	var base CellResult
+	return func(i int, r CellResult) {
+		if i%2 == 0 {
+			base = r
+			return
+		}
+		f(i/2, base, r)
+	}
 }
 
 // BenchResult pairs the baseline and OCOR results of one benchmark.
@@ -143,49 +136,22 @@ func (b BenchResult) SpinGain() float64 { return metrics.SpinFractionGain(b.Base
 // the shared substrate of Figs. 2, 11, 12, 13, 14 and Table 3.
 func RunSuite(o Options, progress io.Writer) ([]BenchResult, error) {
 	o = o.withDefaults()
-	if runner == nil {
-		return nil, fmt.Errorf("experiments: no runner installed")
+	var cells []Cell
+	for _, p := range o.profiles() {
+		p = p.Scale(o.Scale)
+		cells = append(cells, o.cell(p, o.Threads, false), o.cell(p, o.Threads, true))
 	}
-	profs := o.profiles()
-	scaled := make([]workload.Profile, len(profs))
-	for i, p := range profs {
-		scaled[i] = p.Scale(o.Scale)
-	}
-	// Two independent jobs per benchmark: even index = baseline, odd =
-	// OCOR. The ordered emitter prints one combined progress line per
-	// benchmark once its OCOR half (the higher index) completes, so the
-	// output bytes match the serial loop regardless of Jobs.
-	var lastBase metrics.Results
-	res, err := par.Map(2*len(scaled), o.effectiveJobs(), func(i int) (metrics.Results, error) {
-		p := scaled[i/2]
-		ocor := i%2 == 1
-		r, err := o.run(p, o.Threads, ocor, o.Seed)
-		if err != nil {
-			kind := "baseline"
-			if ocor {
-				kind = "ocor"
-			}
-			return metrics.Results{}, fmt.Errorf("experiments: %s %s: %w", p.Name, kind, err)
-		}
-		return r, nil
-	}, func(i int, v metrics.Results) {
-		if i%2 == 0 {
-			lastBase = v
-			return
-		}
+	out := make([]BenchResult, len(cells)/2)
+	_, err := o.grid(cells, pairs(func(k int, base, ocor CellResult) {
+		p := cells[2*k].Profile
+		out[k] = BenchResult{Profile: p, Base: base.Results, OCOR: ocor.Results}
 		if progress != nil {
-			p := scaled[i/2]
-			br := BenchResult{Profile: p, Base: lastBase, OCOR: v}
 			fmt.Fprintf(progress, "running %-8s (%s, cs=%s net=%s) ... COH -%.1f%%  ROI -%.1f%%\n",
-				p.Name, p.Suite, p.CSRate, p.NetUtil, 100*br.COHImprovement(), 100*br.ROIImprovement())
+				p.Name, p.Suite, p.CSRate, p.NetUtil, 100*out[k].COHImprovement(), 100*out[k].ROIImprovement())
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
-	}
-	out := make([]BenchResult, len(scaled))
-	for i, p := range scaled {
-		out[i] = BenchResult{Profile: p, Base: res[2*i], OCOR: res[2*i+1]}
 	}
 	return out, nil
 }
@@ -202,11 +168,3 @@ func sortByCOHImprovement(rs []BenchResult) []BenchResult {
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-
-// profileT aliases the workload profile type for the figure helpers.
-type profileT = workload.Profile
-
-// lookupProfile finds a catalog profile by name.
-func lookupProfile(name string) (workload.Profile, error) {
-	return workload.ByName(name)
-}

@@ -10,19 +10,19 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // fakeRunner produces deterministic synthetic results: OCOR halves COH and
 // takes 10% off the ROI; deeper-contention profiles (fewer locks) get
-// larger baselines.
-func fakeRunner(p workload.Profile, threads int, ocor bool, levels int, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, error) {
+// larger baselines. Trace cells get a canned timeline.
+func fakeRunner(c Cell) (CellResult, error) {
+	p := c.Profile
 	base := uint64(1000 * (16 - p.Locks))
 	r := metrics.Results{
 		Benchmark:    p.Name,
-		OCOR:         ocor,
-		Threads:      threads,
-		Nodes:        threads,
+		OCOR:         c.OCOR,
+		Threads:      c.Threads,
+		Nodes:        c.Threads,
 		ROIFinish:    100000,
 		TotalCOH:     base,
 		TotalBT:      base * 2,
@@ -33,32 +33,34 @@ func fakeRunner(p workload.Profile, threads int, ocor bool, levels int, seed uin
 		LockInjRate:  0.001 * float64(16-p.Locks),
 		NetInjRate:   0.01 * float64(p.GapMemOps),
 	}
-	if ocor {
+	if c.OCOR {
 		r.TotalCOH = base / 2
 		r.ROIFinish = 90000
 		r.SpinFraction = 0.8
-		if levels > 0 && levels < 8 {
+		if c.Levels > 0 && c.Levels < 8 {
 			// Coarser priority levels recover less COH.
-			r.TotalCOH = base - base/2*uint64(levels)/8
+			r.TotalCOH = base - base/2*uint64(c.Levels)/8
 		}
 	}
 	aggregate := float64(r.ROIFinish) * float64(r.Threads)
 	r.COHFraction = float64(r.TotalCOH) / aggregate
 	r.CSFraction = float64(r.CSTime) / aggregate
-	return r, nil
+	out := CellResult{Results: r}
+	if c.TraceThreads > 0 {
+		out.Timeline = "t00 |...###CC...|\nbreakdown: parallel 60.0% blocked 35.0% critical-section 5.0%\n"
+	}
+	return out, nil
 }
 
-func fakeTracer(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, traceThreads int, window uint64, nopool bool, workers int) (metrics.Results, string, error) {
-	r, err := fakeRunner(p, threads, ocor, 0, seed, protocol, nopool, workers)
-	return r, "t00 |...###CC...|\nbreakdown: parallel 60.0% blocked 35.0% critical-section 5.0%\n", err
-}
-
-func withFake(t *testing.T) {
+// withRunner installs run as the cell runner for the test's duration.
+func withRunner(t *testing.T, run func(Cell) (CellResult, error)) {
 	t.Helper()
-	oldR, oldT := runner, tracer
-	SetRunner(fakeRunner, fakeTracer)
-	t.Cleanup(func() { SetRunner(oldR, oldT) })
+	old := newRunner
+	InstallRunner(func(RunOptions) func(Cell) (CellResult, error) { return run })
+	t.Cleanup(func() { newRunner = old })
 }
+
+func withFake(t *testing.T) { withRunner(t, fakeRunner) }
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
@@ -242,9 +244,9 @@ func TestPrinters(t *testing.T) {
 }
 
 func TestNoRunnerInstalled(t *testing.T) {
-	oldR, oldT := runner, tracer
-	SetRunner(nil, nil)
-	defer SetRunner(oldR, oldT)
+	old := newRunner
+	InstallRunner(nil)
+	defer func() { newRunner = old }()
 	if _, err := RunSuite(Options{}, nil); err == nil {
 		t.Fatal("missing runner not detected")
 	}
@@ -261,21 +263,19 @@ func TestNoRunnerInstalled(t *testing.T) {
 
 // slowFakeRunner adds a tiny index-dependent delay so parallel completions
 // arrive out of order, stressing the ordered reassembly.
-func slowFakeRunner(p workload.Profile, threads int, ocor bool, levels int, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, error) {
-	d := time.Duration(len(p.Name)%3) * time.Millisecond
-	if ocor {
+func slowFakeRunner(c Cell) (CellResult, error) {
+	d := time.Duration(len(c.Profile.Name)%3) * time.Millisecond
+	if c.OCOR {
 		d += time.Millisecond
 	}
 	time.Sleep(d)
-	return fakeRunner(p, threads, ocor, levels, seed, protocol, nopool, workers)
+	return fakeRunner(c)
 }
 
 // TestParallelMatchesSerial checks that RunSuite, Fig15 and Fig16 return the
 // same results and identical progress bytes for any Jobs setting.
 func TestParallelMatchesSerial(t *testing.T) {
-	oldR, oldT := runner, tracer
-	SetRunner(slowFakeRunner, fakeTracer)
-	t.Cleanup(func() { SetRunner(oldR, oldT) })
+	withRunner(t, slowFakeRunner)
 
 	type harness struct {
 		name string
@@ -313,14 +313,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestRunSuiteErrorIsDeterministic makes sure a failing benchmark surfaces
 // the same error regardless of parallelism.
 func TestRunSuiteErrorIsDeterministic(t *testing.T) {
-	oldR, oldT := runner, tracer
-	SetRunner(func(p workload.Profile, threads int, ocor bool, levels int, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, error) {
-		if p.Name == "can" && ocor {
-			return metrics.Results{}, errForced
+	withRunner(t, func(c Cell) (CellResult, error) {
+		if c.Profile.Name == "can" && c.OCOR {
+			return CellResult{}, errForced
 		}
-		return fakeRunner(p, threads, ocor, levels, seed, protocol, nopool, workers)
-	}, fakeTracer)
-	t.Cleanup(func() { SetRunner(oldR, oldT) })
+		return fakeRunner(c)
+	})
 
 	var want string
 	for _, jobs := range []int{1, 4} {
@@ -337,3 +335,35 @@ func TestRunSuiteErrorIsDeterministic(t *testing.T) {
 }
 
 var errForced = errors.New("forced failure")
+
+// TestFaultSweepOutcomes checks that failed fault cells become data
+// points, not sweep errors, and that a stop request truncates the sweep
+// to its completed points.
+func TestFaultSweepOutcomes(t *testing.T) {
+	withRunner(t, func(c Cell) (CellResult, error) {
+		if !c.Faulted() || !c.Recovery {
+			t.Errorf("fault sweep ran a cell without its fault knobs: %+v", c)
+		}
+		if c.OCOR && c.Faults.DropRate > 0 {
+			return CellResult{Failure: "wedged"}, nil
+		}
+		return fakeRunner(c)
+	})
+	sweep, err := RunFaultSweep(FaultOptions{Rates: []float64{0, 0.01}, Recovery: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Points) != 2 || sweep.Truncated {
+		t.Fatalf("sweep = %+v", sweep)
+	}
+	if p := sweep.Points[1]; !p.Base.OK || p.OCOR.OK || p.OCOR.Failure != "wedged" {
+		t.Fatalf("rate %g outcomes: base %+v, ocor %+v", p.Rate, p.Base, p.OCOR)
+	}
+
+	stop := make(chan struct{})
+	close(stop)
+	sweep, err = RunFaultSweep(FaultOptions{Rates: []float64{0, 0.01}, Recovery: true, Stop: stop}, nil)
+	if err != nil || !sweep.Truncated || len(sweep.Points) != 0 {
+		t.Fatalf("stopped sweep = %+v, %v; want truncated with no points", sweep, err)
+	}
+}

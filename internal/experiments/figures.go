@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"repro/internal/metrics"
-	"repro/internal/par"
+	"repro/internal/workload"
 )
 
 // ---------------------------------------------------------------- Fig 2 --
@@ -58,34 +58,28 @@ type Fig10Result struct {
 // blocked / critical-section regions.
 func Fig10(o Options) (Fig10Result, error) {
 	o = o.withDefaults()
-	if tracer == nil {
-		return Fig10Result{}, fmt.Errorf("experiments: no trace runner installed")
-	}
-	p, err := byName("body")
+	p, err := workload.ByName("body")
 	if err != nil {
 		return Fig10Result{}, err
 	}
 	p = p.Scale(o.Scale)
-	const traceThreads = 16
-	base, baseTrace, err := tracer(p, o.Threads, false, o.Seed, o.Protocol, traceThreads, 0, o.NoPool, o.Workers)
+	cells := []Cell{o.cell(p, o.Threads, false), o.cell(p, o.Threads, true)}
+	for i := range cells {
+		cells[i].TraceThreads = 16
+	}
+	res, err := o.grid(cells, nil)
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	ocor, ocorTrace, err := tracer(p, o.Threads, true, o.Seed, o.Protocol, traceThreads, 0, o.NoPool, o.Workers)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	res := Fig10Result{
-		Benchmark: p.Name,
-		BaseTrace: baseTrace,
-		OCORTrace: ocorTrace,
-		BaseROI:   base.ROIFinish,
-		OCORROI:   ocor.ROIFinish,
-	}
-	if base.ROIFinish > 0 {
-		res.ROIImprovement = 1 - float64(ocor.ROIFinish)/float64(base.ROIFinish)
-	}
-	return res, nil
+	base, ocor := res[0], res[1]
+	return Fig10Result{
+		Benchmark:      p.Name,
+		BaseTrace:      base.Timeline,
+		OCORTrace:      ocor.Timeline,
+		BaseROI:        base.Results.ROIFinish,
+		OCORROI:        ocor.Results.ROIFinish,
+		ROIImprovement: metrics.ROIImprovement(base.Results, ocor.Results),
+	}, nil
 }
 
 // PrintFig10 renders both profiles.
@@ -273,48 +267,27 @@ var Fig15Threads = []int{4, 16, 32, 64}
 // matching size, reporting normalised COH per benchmark and scale.
 func Fig15(o Options, progress io.Writer) ([]Fig15Row, error) {
 	o = o.withDefaults()
-	if runner == nil {
-		return nil, fmt.Errorf("experiments: no runner installed")
-	}
-	profs := o.profiles()
-	nt := len(Fig15Threads)
-	// Index layout: ((profile*nt)+thread)*2 + ocorBit — every (benchmark,
-	// thread count, config) triple is an independent simulation.
-	var lastBase metrics.Results
-	res, err := par.Map(len(profs)*nt*2, o.effectiveJobs(), func(i int) (metrics.Results, error) {
-		p := profs[i/(nt*2)].Scale(o.Scale)
-		th := Fig15Threads[(i/2)%nt]
-		return o.run(p, th, i%2 == 1, o.Seed)
-	}, func(i int, v metrics.Results) {
-		// The emitter runs in index order, so the paired baseline (i-1)
-		// arrived just before its OCOR result.
-		if i%2 == 0 {
-			lastBase = v
-			return
+	var cells []Cell
+	for _, p := range o.profiles() {
+		p = p.Scale(o.Scale)
+		for _, th := range Fig15Threads {
+			cells = append(cells, o.cell(p, th, false), o.cell(p, th, true))
 		}
-		if progress != nil {
-			norm := 1.0
-			if lastBase.TotalCOH > 0 {
-				norm = float64(v.TotalCOH) / float64(lastBase.TotalCOH)
-			}
-			fmt.Fprintf(progress, "fig15 %-8s %2d threads: normalised COH %s\n",
-				profs[i/(nt*2)].Name, Fig15Threads[(i/2)%nt], pct(norm))
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	var out []Fig15Row
-	for pi, p := range profs {
-		for ti, th := range Fig15Threads {
-			base := res[((pi*nt)+ti)*2]
-			ocor := res[((pi*nt)+ti)*2+1]
-			norm := 1.0
-			if base.TotalCOH > 0 {
-				norm = float64(ocor.TotalCOH) / float64(base.TotalCOH)
-			}
-			out = append(out, Fig15Row{Name: p.Name, Threads: th, NormalizedCOH: norm})
+	_, err := o.grid(cells, pairs(func(k int, base, ocor CellResult) {
+		c := cells[2*k]
+		norm := 1.0
+		if base.Results.TotalCOH > 0 {
+			norm = float64(ocor.Results.TotalCOH) / float64(base.Results.TotalCOH)
 		}
+		out = append(out, Fig15Row{Name: c.Profile.Name, Threads: c.Threads, NormalizedCOH: norm})
+		if progress != nil {
+			fmt.Fprintf(progress, "fig15 %-8s %2d threads: normalised COH %s\n", c.Profile.Name, c.Threads, pct(norm))
+		}
+	}))
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -364,55 +337,38 @@ var Fig16Benchmarks = []string{"botss", "imag"}
 // improving benchmarks.
 func Fig16(o Options, progress io.Writer) ([]Fig16Row, error) {
 	o = o.withDefaults()
-	if runner == nil {
-		return nil, fmt.Errorf("experiments: no runner installed")
-	}
-	profs := make([]profileT, len(Fig16Benchmarks))
-	for i, name := range Fig16Benchmarks {
-		p, err := byName(name)
+	// Per benchmark one baseline followed by one OCOR run per
+	// priority-level count.
+	var cells []Cell
+	for _, name := range Fig16Benchmarks {
+		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		profs[i] = p.Scale(o.Scale)
-	}
-	// Index layout: per benchmark one baseline (stride offset 0) followed
-	// by one OCOR run per priority-level count.
-	stride := 1 + len(Fig16Levels)
-	var lastBase metrics.Results
-	res, err := par.Map(len(profs)*stride, o.effectiveJobs(), func(i int) (metrics.Results, error) {
-		p := profs[i/stride]
-		if i%stride == 0 {
-			return o.run(p, o.Threads, false, o.Seed)
+		p = p.Scale(o.Scale)
+		cells = append(cells, o.cell(p, o.Threads, false))
+		for _, lv := range Fig16Levels {
+			c := o.cell(p, o.Threads, true)
+			c.Levels = lv
+			cells = append(cells, c)
 		}
-		return runner(p, o.Threads, true, Fig16Levels[i%stride-1], o.Seed, o.Protocol, o.NoPool, o.Workers)
-	}, func(i int, v metrics.Results) {
-		if i%stride == 0 {
-			lastBase = v
+	}
+	var out []Fig16Row
+	var base CellResult
+	_, err := o.grid(cells, func(i int, r CellResult) {
+		c := cells[i]
+		if !c.OCOR {
+			base = r
 			return
 		}
+		imp := metrics.COHImprovement(base.Results, r.Results)
+		out = append(out, Fig16Row{Name: c.Profile.Name, Levels: c.Levels, COHImprovement: imp})
 		if progress != nil {
-			imp := 0.0
-			if lastBase.TotalCOH > 0 {
-				imp = 1 - float64(v.TotalCOH)/float64(lastBase.TotalCOH)
-			}
-			fmt.Fprintf(progress, "fig16 %-8s %2d levels: COH improvement %s\n",
-				profs[i/stride].Name, Fig16Levels[i%stride-1], pct(imp))
+			fmt.Fprintf(progress, "fig16 %-8s %2d levels: COH improvement %s\n", c.Profile.Name, c.Levels, pct(imp))
 		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	var out []Fig16Row
-	for bi, p := range profs {
-		base := res[bi*stride]
-		for li, lv := range Fig16Levels {
-			ocor := res[bi*stride+1+li]
-			imp := 0.0
-			if base.TotalCOH > 0 {
-				imp = 1 - float64(ocor.TotalCOH)/float64(base.TotalCOH)
-			}
-			out = append(out, Fig16Row{Name: p.Name, Levels: lv, COHImprovement: imp})
-		}
 	}
 	return out, nil
 }
@@ -519,9 +475,4 @@ func PrintTable3(w io.Writer, s Table3Summary) {
 	for _, k := range []string{"PARSEC", "OMP2012", "Overall"} {
 		fmt.Fprintf(w, "%-37s %10s %10s\n", k+" average", pct(s.AvgCOH[k]), pct(s.AvgROI[k]))
 	}
-}
-
-// byName wraps workload lookup with a helpful error.
-func byName(name string) (p profileT, err error) {
-	return lookupProfile(name)
 }

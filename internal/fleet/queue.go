@@ -35,8 +35,7 @@ type Result struct {
 	Err     string          `json:"err,omitempty"`
 }
 
-// Journal record shapes. resultRecord matches cmd/sweep's rows.jsonl
-// schema, so a fleet result log is readable by the same tooling.
+// Journal record shapes.
 type gridRecord struct {
 	Index int              `json:"i"`
 	Key   string           `json:"key"`

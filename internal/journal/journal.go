@@ -4,9 +4,8 @@
 // loss) tears at most the final line, and a recovery pass that replays
 // the longest intact prefix and silently discards the torn tail.
 //
-// This is the durability discipline cmd/sweep's rows.jsonl introduced in
-// PR 9, extracted so the fleet's cell queue, lease log, result log and
-// poison list all share one tested implementation. The contract:
+// The fleet's cell queue, lease log, result log and poison list all
+// share this one tested implementation. The contract:
 //
 //   - Append marshals v, appends '\n', and hands the kernel the whole
 //     line in one Write call. On a POSIX O_APPEND file descriptor the
@@ -14,8 +13,7 @@
 //     it, never an interleaving.
 //   - Replay streams every complete line to fn and stops — without
 //     error — at the first line that is not valid JSON: everything at
-//     or beyond a torn line is suspect, exactly like the original
-//     rowCache recovery.
+//     or beyond a torn line is suspect.
 //   - Open repairs a torn final line by truncating it, so records
 //     appended after a recovery land on a line boundary rather than
 //     gluing onto the garbage (which a later Replay would read as
@@ -37,13 +35,11 @@ import (
 
 // ErrStop aborts a Replay early without error: fn returns it to say
 // "the prefix I have is enough" (e.g. a consumer that detected a record
-// it cannot interpret and wants the pre-PR-9 stop-at-first-bad-line
-// behaviour).
+// it cannot interpret and wants to stop at the first bad line).
 var ErrStop = errors.New("journal: stop replay")
 
-// MaxLine bounds a single journal line on replay (1 MiB, matching the
-// rowCache scanner budget). Append does not enforce it; records in this
-// repository are far smaller.
+// MaxLine bounds a single journal line on replay (1 MiB). Append does
+// not enforce it; records in this repository are far smaller.
 const MaxLine = 1 << 20
 
 // Writer is an append-only JSON-lines journal, safe for concurrent use.

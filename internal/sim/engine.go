@@ -471,22 +471,6 @@ func (e *Engine) siftDown(s int) {
 	}
 }
 
-// polled hides a component's WakeSetter implementation (if any) so the
-// engine falls back to ticking it every executed cycle.
-type polled struct{ c Component }
-
-// Tick implements Component.
-func (p polled) Tick(now uint64) { p.c.Tick(now) }
-
-// NextWake implements Component.
-func (p polled) NextWake(now uint64) uint64 { return p.c.NextWake(now) }
-
-// Polled wraps c so that Register treats it as a legacy poll component even
-// when it implements WakeSetter. It exists as an escape hatch for
-// cross-checking the event-driven scheduler against exhaustive polling:
-// both modes must produce cycle-identical simulations.
-func Polled(c Component) Component { return polled{c: c} }
-
 // FuncComponent adapts plain functions to the Component interface. It does
 // not implement WakeSetter, so the engine treats it as a legacy poll
 // component: ticked every executed cycle, NextWake re-polled each time.

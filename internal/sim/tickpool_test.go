@@ -50,17 +50,17 @@ func TestEngineSetTickPoolForwarding(t *testing.T) {
 	}
 }
 
-// TestPolledHidesTickPool pins the cross-check escape hatch: a component
-// wrapped in Polled must not receive the pool (the polled mode exists to
-// reproduce strictly sequential reference behaviour).
+// TestPolledHidesTickPool pins that a component without TickPoolUser
+// never receives the pool, so a polling wrapper (the event engine's test
+// oracle) reproduces strictly sequential reference behaviour.
 func TestPolledHidesTickPool(t *testing.T) {
 	e := NewEngine()
 	u := &poolUser{}
-	e.Register(Polled(u))
+	e.Register(polled{u})
 	pool := par.NewPool(2)
 	defer pool.Close()
 	e.SetTickPool(pool)
 	if len(u.pools) != 0 {
-		t.Fatalf("Polled component received a tick pool: %v", u.pools)
+		t.Fatalf("polled component received a tick pool: %v", u.pools)
 	}
 }

@@ -90,12 +90,19 @@ func TestWakeDuringTickSameCycle(t *testing.T) {
 	}
 }
 
+// polled hides a component's optional engine interfaces (WakeSetter,
+// TickPoolUser), leaving a legacy poll component.
+type polled struct{ Component }
+
+// TestPolledWrapperForcesPolling pins the engine's legacy-component path
+// (plain Components such as FuncComponent): a component without
+// WakeSetter gets no waker and ticks on every executed cycle.
 func TestPolledWrapperForcesPolling(t *testing.T) {
 	e := NewEngine()
 	c := &pushComp{next: Never}
-	e.Register(Polled(c))
+	e.Register(polled{c})
 	if c.waker != nil {
-		t.Fatal("Polled component must not receive a waker")
+		t.Fatal("polled component must not receive a waker")
 	}
 	// Another event-driven component keeps cycles 0..3 busy; the polled
 	// component must tick on each of them even though it never wakes.

@@ -73,12 +73,6 @@ type Config struct {
 	// read-only, so results are bit-identical with or without it (a
 	// regression test asserts this).
 	Obs *obs.Recorder
-	// PollEngine registers every subsystem behind sim.Polled, making the
-	// engine fall back to ticking all components every executed cycle
-	// instead of event-driven scheduling. Results are cycle-identical
-	// either way (a regression test asserts it); this is an escape hatch
-	// for cross-checking scheduler changes.
-	PollEngine bool
 	// NoPool disables the deterministic object freelists (NoC packets and
 	// kernel/coherence messages): every allocation goes to the heap and
 	// recycling is a no-op. Results are byte-identical either way (a
@@ -389,21 +383,14 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 
-	register := func(c sim.Component) {
-		if cfg.PollEngine {
-			c = sim.Polled(c)
-		}
+	for _, c := range []sim.Component{net, msys, ksys, csys} {
 		s.Engine.Register(c)
 	}
-	register(net)
-	register(msys)
-	register(ksys)
-	register(csys)
 	if cfg.Watchdog != nil {
 		s.Watchdog = s.buildWatchdog(*cfg.Watchdog)
 		// Registered last so every sweep observes a settled inter-cycle
 		// state (all subsystems of the cycle have ticked).
-		register(s.Watchdog)
+		s.Engine.Register(s.Watchdog)
 	}
 	s.Engine.MaxCycles = cfg.MaxCycles
 	if s.Engine.MaxCycles == 0 {

@@ -16,14 +16,8 @@ func TestPoolingDoesNotPerturbResults(t *testing.T) {
 		for _, poll := range []bool{false, true} {
 			var got [2]metrics.Results
 			for i, nopool := range []bool{false, true} {
-				sys, err := New(Config{
-					Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-					Seed: 7, PollEngine: poll, NoPool: nopool,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := sys.Run()
+				cfg := Config{Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7, NoPool: nopool}
+				r, err := newSystem(t, cfg, poll).Run()
 				if err != nil {
 					t.Fatal(err)
 				}

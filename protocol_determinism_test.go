@@ -19,7 +19,7 @@ func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []b
 	t.Helper()
 	cfg := Config{
 		Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-		Seed: 7, Protocol: proto, PollEngine: poll, Workers: workers,
+		Seed: 7, Protocol: proto, Workers: workers,
 	}
 	if workers > 1 {
 		// Force the sharded tick path: the 4x4 mesh is under the executor's
@@ -28,11 +28,7 @@ func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []b
 		ncfg.ParThreshold = -1
 		cfg.NoC = &ncfg
 	}
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sys.Run()
+	r, err := newSystem(t, cfg, poll).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
