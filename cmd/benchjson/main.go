@@ -306,7 +306,10 @@ func main() {
 // worker count. A single timed run per point keeps the block cheap; the
 // figure-level records above carry the statistically settled numbers, this
 // block exists to show the shape of the intra-run scaling curve on the
-// host that produced the record.
+// host that produced the record. Every point runs the suite one
+// simulation at a time: left at its default, Jobs would shrink with the
+// worker count (the shared core budget), and on a multi-core host the
+// block would time that budget split instead of the tick executor.
 func measureScaling(opt experiments.Options, spec string) ([]scalingPoint, error) {
 	var pts []scalingPoint
 	var base float64
@@ -324,6 +327,7 @@ func measureScaling(opt experiments.Options, spec string) ([]scalingPoint, error
 		}
 		o := opt
 		o.Workers = w
+		o.Jobs = 1
 		start := time.Now()
 		rs, err := experiments.RunSuite(o, nil)
 		if err != nil {

@@ -85,7 +85,7 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 // comparison is on the JSON serialisation of the consolidated results, so
 // any drift — a counter, a latency accumulator, a single cycle — fails
 // byte-for-byte. The 16-thread profile runs on a 4x4 mesh, well under the
-// executor's default work thresholds, so the NoC config forces
+// executor's default work gate, so the NoC config forces
 // ParThreshold -1 (always parallel when a pool is attached) to make every
 // worker-count cell actually exercise the sharded path. The NoFastForward
 // dimension pins idle-window fast-forward as a pure scheduling

@@ -9,16 +9,19 @@ import (
 
 // TestGiantMeshSmoke runs a short deterministic workload on a 32x32
 // platform — 1024 nodes, far past every structure the hot path indexes by
-// node id — with the watchdog armed and the fused parallel tick engaged.
-// It is the giant-mesh counterpart of TestRunCompletes: the run must
-// finish, the watchdog must stay quiet (Run returns a *sim.WatchdogError
-// if it fires), and the platform must end quiescent and coherent.
+// node id — with the watchdog armed and the fused parallel tick forced
+// (64 threads never reach the default gate). It is the giant-mesh
+// counterpart of TestRunCompletes: the run must finish, the watchdog must
+// stay quiet (Run returns a *sim.WatchdogError if it fires), and the
+// platform must end quiescent and coherent.
 func TestGiantMeshSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32x32 platform smoke skipped in -short")
 	}
 	p := smallProfile()
 	p.Iterations = 3
+	forced := noc.DefaultConfig()
+	forced.ParThreshold = -1
 	sys, err := New(Config{
 		Benchmark:  p,
 		Threads:    64,
@@ -27,6 +30,7 @@ func TestGiantMeshSmoke(t *testing.T) {
 		OCOR:       true,
 		Seed:       11,
 		Workers:    4,
+		NoC:        &forced,
 		Watchdog:   &sim.WatchdogConfig{},
 	})
 	if err != nil {
@@ -74,10 +78,10 @@ func TestGiantMeshSmoke(t *testing.T) {
 
 // TestGiantMeshSmoke64 pushes the smoke one size up: 64 threads on a
 // 64x64 mesh — 4096 nodes, of which 98% never host a thread, exactly the
-// regime the O(active) ticking targets. The fused four-worker
-// fast-forward run must complete, stay coherent, and be byte-identical to
-// a sequential run with fast-forward disabled (the conservative
-// tick-every-busy-cycle discipline), closing the {workers} x
+// regime the O(active) ticking targets. The four-worker fast-forward run,
+// with the fused tick forced, must complete, stay coherent, and be
+// byte-identical to a sequential run with fast-forward disabled (the
+// conservative tick-every-busy-cycle discipline), closing the {workers} x
 // {fast-forward} matrix at the platform level on a giant mesh.
 func TestGiantMeshSmoke64(t *testing.T) {
 	if testing.Short() {
@@ -85,6 +89,8 @@ func TestGiantMeshSmoke64(t *testing.T) {
 	}
 	p := smallProfile()
 	p.Iterations = 2
+	forced := noc.DefaultConfig()
+	forced.ParThreshold = -1
 	sys, err := New(Config{
 		Benchmark:  p,
 		Threads:    64,
@@ -93,6 +99,7 @@ func TestGiantMeshSmoke64(t *testing.T) {
 		OCOR:       true,
 		Seed:       11,
 		Workers:    4,
+		NoC:        &forced,
 		Watchdog:   &sim.WatchdogConfig{},
 	})
 	if err != nil {

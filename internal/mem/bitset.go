@@ -2,9 +2,13 @@ package mem
 
 import "math/bits"
 
+// MaxSharers is the number of node ids a nodeSet holds (ids 0..255). The
+// directory tracks every caching core in one, so it caps a platform's
+// thread count (thread i runs on node i).
+const MaxSharers = 256
+
 // nodeSet is a small bitset of node ids used for directory sharer lists.
-// It supports meshes up to 256 nodes.
-type nodeSet [4]uint64
+type nodeSet [MaxSharers / 64]uint64
 
 func (s *nodeSet) add(n int)      { s[n>>6] |= 1 << (uint(n) & 63) }
 func (s *nodeSet) remove(n int)   { s[n>>6] &^= 1 << (uint(n) & 63) }
@@ -18,7 +22,7 @@ func (s *nodeSet) count() int {
 	return c
 }
 
-func (s *nodeSet) empty() bool { return s[0]|s[1]|s[2]|s[3] == 0 }
+func (s *nodeSet) empty() bool { return *s == nodeSet{} }
 
 func (s *nodeSet) clear() { *s = nodeSet{} }
 

@@ -65,9 +65,11 @@ func BenchmarkUniformTraffic(b *testing.B) {
 // pin the sequential hot loop at zero allocations per tick), higher
 // counts exercise the sharded executor (ParThreshold -1 keeps it engaged
 // regardless of instantaneous load, so dispatch overhead is fully
-// visible).
+// visible). Each run also reports the mean router-buffered flits and the
+// mean gate work count (flits plus pending links) per measured cycle: the
+// load at which workers=2 starts to win sets the default gate.
 func BenchmarkNetworkTick(b *testing.B) {
-	for _, mesh := range []int{8, 16, 32, 64} {
+	for _, mesh := range []int{8, 16, 24, 32, 64} {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("mesh=%dx%d/workers=%d", mesh, mesh, workers), func(b *testing.B) {
 				cfg := testConfig(mesh, mesh, true)
@@ -109,10 +111,15 @@ func BenchmarkNetworkTick(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
+				var flits, work int
 				for i := 0; i < b.N; i++ {
+					flits += n.routerFlits
+					work += n.tickWork()
 					n.Tick(now)
 					now++
 				}
+				b.ReportMetric(float64(flits)/float64(b.N), "flits/cycle")
+				b.ReportMetric(float64(work)/float64(b.N), "work/cycle")
 			})
 		}
 	}

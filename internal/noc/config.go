@@ -109,13 +109,16 @@ type Config struct {
 	// with or without this flag.
 	PoolDebug bool
 	// ParThreshold tunes when a network with a tick pool attached runs a
-	// cycle phase in parallel rather than sequentially. 0 uses built-in
-	// defaults sized so small or idle meshes never pay the fork-join
-	// barrier; a positive value replaces every per-phase default with that
-	// value; a negative value forces the parallel path whenever a pool is
-	// attached (tests use this to exercise the sharded executor on tiny
-	// meshes). Both paths produce byte-identical state, so the threshold
-	// only affects speed, never results.
+	// cycle as one fused parallel tick rather than sequentially. The gate
+	// is one per-cycle work count: router-buffered flits plus links
+	// holding pending events. 0 uses the built-in default, the crossover
+	// measured on a 2-CPU host (8192: the saturated 16x16 mesh stays
+	// sequential, the saturated 24x24 mesh goes fused); a positive value
+	// replaces it; a negative value shards every cycle with any work,
+	// injection-only cycles included (tests use this to exercise the
+	// sharded executor on small meshes). An attached observer keeps every
+	// cycle sequential. Both paths produce byte-identical state, so the
+	// threshold only affects speed, never results.
 	ParThreshold int
 	// NoFastForward makes NextWake answer the conservative now+1 whenever
 	// the network is busy instead of the exact NextEventCycle horizon, so

@@ -192,6 +192,9 @@ func faultSignature(t *testing.T, plan fault.Plan, workers int) string {
 	const budget = 3000
 	e.MaxCycles = budget
 	e.RunUntil(func() bool { return !n.Busy() })
+	if workers > 1 && n.fusedCycles == 0 {
+		t.Fatalf("workers=%d forced sharding ran no fused cycle", workers)
+	}
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}

@@ -77,15 +77,17 @@ type Network struct {
 
 	// exec, when non-nil, is the sharded parallel tick executor (attached
 	// via SetTickPool). observed mirrors "an obs recorder is attached":
-	// the parallel router/NI phases are disabled then, because routers and
-	// NIs emit into one shared recorder. parMin* are the per-phase work
-	// thresholds below which a cycle runs sequentially even with a pool
-	// attached (see Config.ParThreshold).
+	// the network then ticks sequentially, because routers and NIs emit
+	// into one shared recorder. parWork is the per-cycle work count
+	// (router-buffered flits plus pending links) from which a cycle runs
+	// fused rather than sequentially (see Config.ParThreshold; 0 shards
+	// every cycle with any work). fusedCycles counts the fused cycles: it
+	// paces the executor's rebalancing, and tests read it to tell a
+	// sharded run from a sequential one.
 	exec        *tickExec
 	observed    bool
-	parMinLinks int
-	parMinFlits int
-	parMinPkts  int
+	parWork     int
+	fusedCycles uint64
 
 	// faults, when non-nil, is the attached fault injector (SetFaults).
 	// The network keeps its own pointer for the Send-side priority
@@ -351,17 +353,15 @@ func (n *Network) SetWaker(w sim.Waker) { n.waker = w }
 // Tick implements sim.Component.
 func (n *Network) Tick(now uint64) {
 	// Fused parallel cycle: with a pool attached, no observer, and enough
-	// work in any phase to amortize the barrier, run the NI-eject and
-	// loopback phases first (a byte-identical reordering — all link events
-	// are future-dated at send and the two phases write disjoint state;
-	// see the parallel.go package comment), then execute link drain,
-	// router allocation/traversal and NI injection under ONE fork-join
-	// barrier instead of one per phase.
+	// work to amortize the barrier, run the NI-eject and loopback phases
+	// first (a byte-identical reordering — all link events are
+	// future-dated at send and the two phases write disjoint state; see
+	// the parallel.go package comment), then execute link drain, router
+	// allocation/traversal and NI injection under ONE fork-join barrier.
+	// NI-queued packets do not count as work: an NI injects at most one
+	// flit per cycle however many packets wait behind it.
 	if n.exec != nil && !n.observed {
-		pend := len(n.pendFlits) + len(n.pendCredits)
-		if (pend > 0 && pend >= n.parMinLinks) ||
-			((n.routerFlits > 0 || n.queuedPkts > 0) &&
-				(n.routerFlits >= n.parMinFlits || n.queuedPkts >= n.parMinPkts)) {
+		if work := n.tickWork(); work >= n.parWork && (work > 0 || n.queuedPkts > 0) {
 			if n.niEvents > 0 {
 				n.drainNIs(now)
 			}
@@ -373,44 +373,36 @@ func (n *Network) Tick(now uint64) {
 	// Phase 1: commit link events due this cycle into router buffers and
 	// router credit state. Only links holding events are on the pending
 	// lists; commits to distinct (router, port) pairs are independent, so
-	// list order (send order) yields the same state as the full port scan
-	// — which is also what lets the executor drain the lists concurrently
-	// (bucketed by receiving node) when an observer keeps the router/NI
-	// phases sequential but enough links are pending to amortize a
-	// drain-only barrier.
-	if pend := len(n.pendFlits) + len(n.pendCredits); n.exec != nil && pend > 0 && pend >= n.parMinLinks {
-		n.drainLinksPar(now)
-	} else {
-		if len(n.pendFlits) > 0 {
-			keep := n.pendFlits[:0]
-			for _, l := range n.pendFlits {
-				if l.flits[0].at <= now {
-					n.scratchF = l.dueFlits(now, n.scratchF)
-					l.flitRecv.commit(now, n.scratchF, l.flitDir, nil)
-				}
-				if len(l.flits) > 0 {
-					keep = append(keep, l)
-				} else {
-					l.flitQueued = false
-				}
+	// list order (send order) yields the same state as the full port scan.
+	if len(n.pendFlits) > 0 {
+		keep := n.pendFlits[:0]
+		for _, l := range n.pendFlits {
+			if l.flits[0].at <= now {
+				n.scratchF = l.dueFlits(now, n.scratchF)
+				l.flitRecv.commit(now, n.scratchF, l.flitDir, nil)
 			}
-			n.pendFlits = keep
-		}
-		if len(n.pendCredits) > 0 {
-			keep := n.pendCredits[:0]
-			for _, l := range n.pendCredits {
-				if l.credits[0].at <= now {
-					n.scratchC = l.dueCredits(now, n.scratchC)
-					l.creditRecv.commitCredits(n.scratchC, l.creditDir)
-				}
-				if len(l.credits) > 0 {
-					keep = append(keep, l)
-				} else {
-					l.creditQueued = false
-				}
+			if len(l.flits) > 0 {
+				keep = append(keep, l)
+			} else {
+				l.flitQueued = false
 			}
-			n.pendCredits = keep
 		}
+		n.pendFlits = keep
+	}
+	if len(n.pendCredits) > 0 {
+		keep := n.pendCredits[:0]
+		for _, l := range n.pendCredits {
+			if l.credits[0].at <= now {
+				n.scratchC = l.dueCredits(now, n.scratchC)
+				l.creditRecv.commitCredits(n.scratchC, l.creditDir)
+			}
+			if len(l.credits) > 0 {
+				keep = append(keep, l)
+			} else {
+				l.creditQueued = false
+			}
+		}
+		n.pendCredits = keep
 	}
 	// Phase 2: NI eject/credit absorption, in node order.
 	if n.niEvents > 0 {
@@ -448,6 +440,12 @@ func (n *Network) Tick(now uint64) {
 			}
 		}
 	}
+}
+
+// tickWork is the per-cycle work count the fused-tick gate weighs:
+// router-buffered flits plus links holding pending events.
+func (n *Network) tickWork() int {
+	return n.routerFlits + len(n.pendFlits) + len(n.pendCredits)
 }
 
 // drainNIs is Tick phase 2: NIs eject arrived flits and absorb credit

@@ -67,11 +67,12 @@ package noc
 // transitions OR-ed in — ascending id order, exactly the sequential
 // visit order.
 //
-// With an observer attached the router/NI phases stay sequential (they
-// emit into one shared recorder), but the standalone link-drain barrier
-// (drainLinksPar) is still available: no sends happen during a pure
-// drain, so every pending link is drainable concurrently, bucketed by
-// its receiving node's shard.
+// The fused cycle is the executor's only parallel path. With an observer
+// attached the network ticks sequentially (routers and NIs emit into one
+// shared recorder), and a cycle with less work than the gate in
+// Network.Tick runs sequentially too: on two cores a fused cycle only
+// beats the sequential tick once it carries thousands of buffered flits
+// (EXPERIMENTS.md, "Intra-run scaling").
 
 import (
 	"math/bits"
@@ -93,9 +94,9 @@ type tickShard struct {
 	rfDelta  int
 	qpDelta  int
 
-	// localF/localC are the pending links this shard drains this cycle,
-	// bucketed by the dispatcher (fused path: links with both endpoints in
-	// the shard; pure-drain path: links whose receiver is in the shard).
+	// localF/localC are the pending links this shard drains this cycle:
+	// the dispatcher buckets here every link with both endpoints in the
+	// shard.
 	localF []*link
 	localC []*link
 
@@ -150,7 +151,7 @@ type dropCredit struct {
 	at     uint64
 }
 
-// tickExec drives the shards over a par.Pool. The dispatch closures are
+// tickExec drives the shards over a par.Pool. The dispatch closure is
 // created once at SetTickPool and parameterized through the now/doR/doNI
 // fields, so a parallel cycle allocates no closures.
 type tickExec struct {
@@ -172,15 +173,19 @@ type tickExec struct {
 	now       uint64
 	doR, doNI bool
 
-	// fusedTicks counts fused dispatches toward the next activity-balanced
-	// repartition; every rebalanceEvery of them (0 = disabled) the shard
+	// Every rebalanceEvery fused cycles (0 = disabled) the shard
 	// boundaries are recut from the current active bitmaps.
-	fusedTicks     int
 	rebalanceEvery int
 
-	drainFn func(worker int)
 	fusedFn func(worker int)
 }
+
+// defaultParWork is the per-cycle work count (router-buffered flits plus
+// pending links) from which a fused cycle runs: the crossover of the forced
+// BenchmarkNetworkTick at workers 1 and 2 on a 2-CPU host (EXPERIMENTS.md,
+// "Intra-run scaling"). The saturated 16x16 mesh, about 4.5k work per
+// cycle, still loses with two workers; the 24x24 mesh, about 11.4k, wins.
+const defaultParWork = 8192
 
 // SetTickPool attaches (or with nil detaches) a worker pool for
 // intra-cycle parallelism. A pool of one worker is equivalent to nil: the
@@ -211,7 +216,6 @@ func (n *Network) SetTickPool(p *par.Pool) {
 			e.shardOf[node] = int32(i)
 		}
 	}
-	e.drainFn = e.drainLinks
 	e.fusedFn = e.fusedShard
 	switch {
 	case n.Cfg.RebalanceEpoch > 0:
@@ -219,18 +223,14 @@ func (n *Network) SetTickPool(p *par.Pool) {
 	case n.Cfg.RebalanceEpoch == 0:
 		e.rebalanceEvery = 512
 	}
+	// Both paths are state-identical, so the gate only decides speed.
 	switch {
 	case n.Cfg.ParThreshold < 0:
-		n.parMinLinks, n.parMinFlits, n.parMinPkts = 0, 0, 0
+		n.parWork = 0
 	case n.Cfg.ParThreshold > 0:
-		v := n.Cfg.ParThreshold
-		n.parMinLinks, n.parMinFlits, n.parMinPkts = v, v, v
+		n.parWork = n.Cfg.ParThreshold
 	default:
-		// Sized so the fork-join barrier (order of a microsecond, see
-		// par.BenchmarkPoolRun) is paid only when a cycle carries enough
-		// work to amortize it; below these counts the sequential path is
-		// faster and — both paths being state-identical — always safe.
-		n.parMinLinks, n.parMinFlits, n.parMinPkts = 24, 48, 24
+		n.parWork = defaultParWork
 	}
 	n.exec = e
 }
@@ -319,16 +319,15 @@ func (e *tickExec) shardLocal(l *link) (int32, bool) {
 func (n *Network) tickFused(now uint64) {
 	e := n.exec
 	e.now = now
+	n.fusedCycles++
 	// Deterministic epoch repartition: recut the shard boundaries from the
-	// activity bitmaps every rebalanceEvery fused cycles. The epoch counter
-	// depends only on the simulated cycle sequence, and the cut is a pure
-	// function of network state, so every run of a configuration sees the
-	// same partitions at the same cycles regardless of worker scheduling.
-	if e.rebalanceEvery > 0 {
-		if e.fusedTicks++; e.fusedTicks >= e.rebalanceEvery {
-			e.fusedTicks = 0
-			e.rebalance()
-		}
+	// activity bitmaps every rebalanceEvery fused cycles. The fused-cycle
+	// count depends only on the simulated cycle sequence, and the cut is a
+	// pure function of network state, so every run of a configuration sees
+	// the same partitions at the same cycles regardless of worker
+	// scheduling.
+	if e.rebalanceEvery > 0 && n.fusedCycles%uint64(e.rebalanceEvery) == 0 {
+		e.rebalance()
 	}
 	// Swap the pending lists aside: the snapshot below must stay stable
 	// while cross-shard pre-drain sends (drop-credit returns) re-register
@@ -522,86 +521,6 @@ func (e *tickExec) fusedShard(worker int) {
 			}
 		}
 	}
-}
-
-// drainLinksPar is the standalone parallel link drain used when an
-// observer keeps the router/NI phases sequential: no sends happen during
-// a pure drain, so every pending link is drainable concurrently, bucketed
-// by the shard of its receiving node. The dispatcher then rebuilds the
-// pending lists and folds the deferred effects in shard order.
-func (n *Network) drainLinksPar(now uint64) {
-	e := n.exec
-	e.now = now
-	for _, l := range n.pendFlits {
-		sh := &e.shards[e.shardOf[l.dstNode]]
-		sh.localF = append(sh.localF, l)
-	}
-	for _, l := range n.pendCredits {
-		sh := &e.shards[e.shardOf[l.srcNode]]
-		sh.localC = append(sh.localC, l)
-	}
-	e.pool.Run(e.drainFn)
-	n.pendFlits = n.pendFlits[:0]
-	n.pendCredits = n.pendCredits[:0]
-	for i := range e.shards {
-		sh := &e.shards[i]
-		n.activity += sh.actDelta
-		n.routerFlits += sh.rfDelta
-		sh.actDelta, sh.rfDelta = 0, 0
-		for _, id := range sh.nowActive {
-			n.routerActive.set(int(id))
-		}
-		sh.nowActive = sh.nowActive[:0]
-		n.pendFlits = append(n.pendFlits, sh.keepF...)
-		n.pendCredits = append(n.pendCredits, sh.keepC...)
-		sh.keepF = sh.keepF[:0]
-		sh.keepC = sh.keepC[:0]
-		// Same drop-credit replay contract as the fused commit.
-		for _, dc := range sh.dropCredits {
-			dc.l.sendCredit(dc.vc, dc.freeVC, dc.at)
-		}
-		sh.dropCredits = sh.dropCredits[:0]
-	}
-}
-
-// drainLinks is the pure-drain shard worker: commit due flit and credit
-// events on the links the dispatcher bucketed for this shard.
-// flitQueued/creditQueued are per-link and each link lands in exactly one
-// bucket per event kind, so clearing them here is race-free.
-func (e *tickExec) drainLinks(worker int) {
-	if worker >= len(e.shards) {
-		return
-	}
-	sh := &e.shards[worker]
-	now := e.now
-	for _, l := range sh.localF {
-		if l.flits[0].at <= now {
-			var taken int
-			sh.scratchF, taken = l.takeDueFlits(now, sh.scratchF)
-			sh.actDelta -= taken
-			l.flitRecv.commit(now, sh.scratchF, l.flitDir, sh)
-		}
-		if len(l.flits) > 0 {
-			sh.keepF = append(sh.keepF, l)
-		} else {
-			l.flitQueued = false
-		}
-	}
-	sh.localF = sh.localF[:0]
-	for _, l := range sh.localC {
-		if l.credits[0].at <= now {
-			var taken int
-			sh.scratchC, taken = l.takeDueCredits(now, sh.scratchC)
-			sh.actDelta -= taken
-			l.creditRecv.commitCredits(sh.scratchC, l.creditDir)
-		}
-		if len(l.credits) > 0 {
-			sh.keepC = append(sh.keepC, l)
-		} else {
-			l.creditQueued = false
-		}
-	}
-	sh.localC = sh.localC[:0]
 }
 
 // maskToRange restricts a bitmap word whose bit 0 represents node `base`

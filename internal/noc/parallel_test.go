@@ -34,8 +34,8 @@ type sigParams struct {
 //
 // workers > 1 attaches a pool of that size through the engine (exercising
 // the sim.TickPoolUser forwarding); parThreshold is Config.ParThreshold;
-// rec optionally attaches an observer (which must force the router/NI
-// phases sequential without changing results).
+// rec optionally attaches an observer (which must keep every cycle
+// sequential without changing results).
 func runSignature(t *testing.T, p sigParams) string {
 	t.Helper()
 	cfg := testConfig(p.w, p.h, p.prio)
@@ -115,6 +115,14 @@ func runSignature(t *testing.T, p sigParams) string {
 	if n.Busy() != n.scanBusy() {
 		t.Fatalf("Busy()/scanBusy() disagree at end (workers=%d)", p.workers)
 	}
+	// A forced or explicitly gated run that never went fused would compare
+	// the sequential tick with itself; an observed run must never go fused.
+	if p.workers > 1 && p.parThreshold != 0 && p.rec == nil && n.fusedCycles == 0 {
+		t.Fatalf("workers=%d thr=%d ran no fused cycle", p.workers, p.parThreshold)
+	}
+	if p.rec != nil && n.fusedCycles != 0 {
+		t.Fatalf("observed run went fused for %d cycles", n.fusedCycles)
+	}
 
 	fmt.Fprintf(&sb, "end=%d injected=%v delivered=%v flits=%d local=%d\n",
 		end, n.Stats.InjectedPkts, n.Stats.DeliveredPkts, n.Stats.InjectedFlits, n.Stats.LocalDeliveries)
@@ -135,16 +143,15 @@ func runSignature(t *testing.T, p sigParams) string {
 // TestParallelTickMatchesSequential is the executor's core guarantee: for
 // every worker count, threshold setting and arbitration policy, the fused
 // single-barrier tick executor produces a byte-identical simulation to
-// the plain sequential path. ParThreshold -1 forces the parallel phases
-// on for every non-empty cycle (the 4x4 test mesh would otherwise stay
-// under the default work thresholds); 0 keeps the defaults so threshold
-// crossover (mixing sequential and parallel cycles within one run) is
-// exercised too.
+// the plain sequential path. ParThreshold -1 forces the fused tick on for
+// every cycle with work (the 4x4 test mesh never reaches the default
+// gate); 4 and 96 are explicit gates, so runs mix sequential and fused
+// cycles.
 func TestParallelTickMatchesSequential(t *testing.T) {
 	for _, prio := range []bool{false, true} {
 		ref := runSignature(t, sigParams{w: 4, h: 4, prio: prio, workers: 1, flows: 12, generations: 3})
 		for _, workers := range []int{2, 3, 4, 8} {
-			for _, thr := range []int{-1, 0, 4} {
+			for _, thr := range []int{-1, 4, 96} {
 				got := runSignature(t, sigParams{w: 4, h: 4, prio: prio, workers: workers,
 					parThreshold: thr, flows: 12, generations: 3})
 				if got != ref {
@@ -158,9 +165,9 @@ func TestParallelTickMatchesSequential(t *testing.T) {
 
 // TestParallelTickMatchesSequentialLarge repeats the identity check on a
 // 32x32 mesh — large enough that shards span multiple routerActive words,
-// the default work thresholds engage without forcing, and cross-shard
-// boundary links are plentiful. The workload is lighter per node to keep
-// the matrix fast.
+// the opening burst crosses the default gate without forcing (the run
+// mixes fused and sequential cycles), and cross-shard boundary links are
+// plentiful. The workload is lighter per node to keep the matrix fast.
 func TestParallelTickMatchesSequentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32x32 identity matrix skipped in -short")
@@ -260,10 +267,9 @@ func TestRebalanceDeterminism(t *testing.T) {
 }
 
 // TestParallelTickWithObserver checks the observer interaction: a recorder
-// forces the router/NI phases onto the sequential path (they emit into one
-// shared stream), while the link-drain phase stays parallel (it emits
-// nothing). Results and the recorded event stream must both match a fully
-// sequential observed run.
+// keeps every cycle on the sequential path (routers and NIs emit into one
+// shared stream), even with sharding forced. Results and the recorded
+// event stream must both match an observed run without a pool.
 func TestParallelTickWithObserver(t *testing.T) {
 	recSeq := obs.NewRecorder(1 << 20)
 	ref := runSignature(t, sigParams{w: 4, h: 4, prio: true, workers: 1, flows: 12, generations: 3, rec: recSeq})
@@ -282,6 +288,98 @@ func TestParallelTickWithObserver(t *testing.T) {
 			t.Fatalf("event %d differs: %+v vs %+v", i, seqEv[i], parEv[i])
 		}
 	}
+}
+
+// TestFusedGate pins the gate in Network.Tick: with a pool attached and
+// the default threshold, a cycle goes fused exactly when its work count
+// (router-buffered flits plus pending links) reaches defaultParWork; a
+// positive ParThreshold replaces the default; a negative one shards every
+// cycle with any work, an injection-only cycle included; and an attached
+// observer keeps every cycle sequential.
+func TestFusedGate(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	// build returns a network with the pool attached whose sinks free
+	// every delivery, so ticking it by hand never leaks packets.
+	build := func(w, h, thr int) *Network {
+		cfg := testConfig(w, h, true)
+		cfg.ParThreshold = thr
+		n := MustNetwork(cfg)
+		for i := 0; i < cfg.Nodes(); i++ {
+			n.SetSink(i, func(now uint64, pkt *Packet) { n.FreePacket(pkt) })
+		}
+		n.SetTickPool(pool)
+		return n
+	}
+	// tick runs one cycle and reports whether it went fused.
+	tick := func(n *Network, now uint64) bool {
+		before := n.fusedCycles
+		n.Tick(now)
+		return n.fusedCycles > before
+	}
+
+	// Default threshold: a 16x16 mesh flooded with 8-flit packets starts
+	// below the crossover and fills its buffers past it.
+	n := build(16, 16, 0)
+	rng := sim.NewRNG(5)
+	for s := 0; s < n.Cfg.Nodes(); s++ {
+		for k := 0; k < 48; k++ {
+			if d := rng.Intn(n.Cfg.Nodes()); d != s {
+				n.Send(0, n.NewPacket(s, d, ClassData, rng.Intn(NumVNets), nil))
+			}
+		}
+	}
+	var below, above int
+	for now := uint64(0); now < 400 && above < 20; now++ {
+		work := n.tickWork()
+		if fused := tick(n, now); fused != (work >= defaultParWork) {
+			t.Fatalf("cycle %d: work %d, default gate %d, fused=%v", now, work, defaultParWork, fused)
+		}
+		if work >= defaultParWork {
+			above++
+		} else {
+			below++
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("load never crossed the gate: %d cycles below, %d at or above", below, above)
+	}
+	n.SetTickPool(nil)
+
+	// A positive threshold replaces the default: any cycle with buffered
+	// flits or pending links goes fused, an injection-only one does not.
+	n = build(4, 4, 1)
+	n.Send(0, n.NewPacket(0, 15, ClassCtrl, VNetRequest, nil))
+	if tick(n, 0) {
+		t.Fatal("ParThreshold 1: injection-only cycle went fused")
+	}
+	if n.tickWork() == 0 || !tick(n, 1) {
+		t.Fatalf("ParThreshold 1: cycle with work %d stayed sequential", n.tickWork())
+	}
+	n.SetTickPool(nil)
+
+	// Forced: the injection-only cycle goes fused too, but a cycle with
+	// nothing to drain, route or inject does not.
+	n = build(4, 4, -1)
+	if tick(n, 0) {
+		t.Fatal("forced: idle cycle went fused")
+	}
+	n.Send(1, n.NewPacket(0, 15, ClassCtrl, VNetRequest, nil))
+	if !tick(n, 1) {
+		t.Fatal("forced: injection-only cycle stayed sequential")
+	}
+	n.SetTickPool(nil)
+
+	// Observer attached: sequential whatever the threshold.
+	n = build(4, 4, -1)
+	n.SetObserver(obs.NewRecorder(1 << 10))
+	n.Send(0, n.NewPacket(0, 15, ClassCtrl, VNetRequest, nil))
+	for now := uint64(0); n.Busy(); now++ {
+		if tick(n, now) {
+			t.Fatalf("observed cycle %d went fused", now)
+		}
+	}
+	n.SetTickPool(nil)
 }
 
 // TestSetTickPoolSharding checks the shard partition: contiguous,

@@ -11,7 +11,7 @@ package par
 // Pool complements Map: Map bounds coarse-grained, independent jobs (whole
 // simulations) and is called a handful of times per process, so it spawns
 // its workers per invocation; Pool serves fine-grained repeated dispatch —
-// the sharded NoC tick executor calls Run up to twice per simulated cycle,
+// the sharded NoC tick executor calls Run once per fused cycle, up to
 // millions of times per run — where spawn-per-call overhead would swamp
 // the work being parallelized.
 //

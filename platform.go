@@ -144,14 +144,15 @@ func (c *Config) meshDims() (w, h int) {
 
 // Validate checks the platform configuration for impossible settings —
 // negative counts, half-specified meshes, more threads or tick workers
-// than the mesh has nodes — and delegates to the subsystem validators
-// (noc, kernel, fault), returning a typed error that names the field to
-// fix. New calls it first, so every cmd entry point reports bad flags as
-// a clean error instead of panicking or misbehaving mid-run; entry
-// points that stream output (CSV headers, JSON documents) call it
-// directly to fail before the first byte is written. Validation never
-// mutates cfg: subsystem configs are checked on copies, and default
-// filling stays in the constructors.
+// than the mesh has nodes, more threads than the directory can track —
+// and delegates to the subsystem validators (noc, kernel, fault),
+// returning a typed error that names the field to fix. New calls it
+// first, so every cmd entry point reports bad flags as a clean error
+// instead of panicking or misbehaving mid-run; entry points that stream
+// output (CSV headers, JSON documents) call it directly to fail before
+// the first byte is written. Validation never mutates cfg: subsystem
+// configs are checked on copies, and default filling stays in the
+// constructors.
 func (c *Config) Validate() error {
 	if c.Threads < 0 {
 		return &ConfigError{Field: "Threads", Reason: fmt.Sprintf("negative count %d", c.Threads)}
@@ -174,6 +175,18 @@ func (c *Config) Validate() error {
 		if c.Workers > w*h {
 			return &ConfigError{Field: "Workers",
 				Reason: fmt.Sprintf("%d tick workers exceed the %dx%d mesh's %d nodes (shards would be empty)", c.Workers, w, h, w*h)}
+		}
+		// Threads 0 means one thread per node; explicit programs run one
+		// thread each.
+		threads := c.Threads
+		if c.Programs != nil {
+			threads = len(c.Programs)
+		} else if threads == 0 {
+			threads = w * h
+		}
+		if threads > mem.MaxSharers {
+			return &ConfigError{Field: "Threads",
+				Reason: fmt.Sprintf("%d threads exceed the %d cores the directory's sharer set tracks", threads, mem.MaxSharers)}
 		}
 	}
 	if c.NoC != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/noc"
 )
@@ -25,6 +26,9 @@ func TestPlatformConfigValidate(t *testing.T) {
 		{"negative mesh", Config{MeshWidth: -4, MeshHeight: 4}, "MeshWidth/MeshHeight"},
 		{"threads exceed mesh", Config{Threads: 20, MeshWidth: 4, MeshHeight: 4}, "Threads"},
 		{"workers exceed mesh", Config{Threads: 16, Workers: 17}, "Workers"},
+		{"threads exceed sharer set", Config{Threads: 257, MeshWidth: 17, MeshHeight: 17}, "Threads"},
+		{"one thread per node past sharer set", Config{MeshWidth: 17, MeshHeight: 17}, "Threads"},
+		{"programs exceed sharer set", Config{Programs: make([]cpu.Program, 257), MeshWidth: 17, MeshHeight: 17}, "Threads"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,8 +66,16 @@ func TestPlatformConfigValidate(t *testing.T) {
 		t.Fatal("Validate default-filled the caller's kernel config")
 	}
 
-	// The healthy defaults must pass untouched.
-	if err := (&Config{Threads: 16, Workers: 4}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	// The healthy defaults must pass untouched, and so must a full
+	// sharer set (the benchmark's 256-thread 16x16 workload).
+	for _, cfg := range []Config{
+		{Threads: 16, Workers: 4},
+		{Threads: 256, MeshWidth: 16, MeshHeight: 16, Workers: 2},
+		{MeshWidth: 16, MeshHeight: 16},
+		{Programs: make([]cpu.Program, 16), MeshWidth: 17, MeshHeight: 17},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("valid config %+v rejected: %v", cfg, err)
+		}
 	}
 }
