@@ -34,7 +34,7 @@ func (s *System) Snapshot() (*checkpoint.Snapshot, error) {
 	w.Bool(s.Cfg.OCOR)
 	w.Int(s.Cfg.PriorityLevels)
 	w.U64(s.Cfg.Seed)
-	w.Bool(s.Cfg.NoPool)
+	w.Bool(false) // retired unpooled-mode flag; a set slot never matches
 	w.Bool(hasKernel)
 	w.Bool(hasFaults)
 	w.Bool(s.started)
@@ -113,11 +113,11 @@ func (s *System) restore(snap *checkpoint.Snapshot) error {
 	}
 	if bench != s.Cfg.Benchmark.Name || threads != s.Cfg.Threads ||
 		width != s.Net.Cfg.Width || height != s.Net.Cfg.Height ||
-		ocor != s.Cfg.OCOR || seed != s.Cfg.Seed || nopool != s.Cfg.NoPool {
-		return fmt.Errorf("repro: snapshot config (%s t=%d %dx%d ocor=%v seed=%d nopool=%v) does not match platform (%s t=%d %dx%d ocor=%v seed=%d nopool=%v)",
+		ocor != s.Cfg.OCOR || seed != s.Cfg.Seed || nopool {
+		return fmt.Errorf("repro: snapshot config (%s t=%d %dx%d ocor=%v seed=%d nopool=%v) does not match platform (%s t=%d %dx%d ocor=%v seed=%d nopool=false)",
 			bench, threads, width, height, ocor, seed, nopool,
 			s.Cfg.Benchmark.Name, s.Cfg.Threads, s.Net.Cfg.Width, s.Net.Cfg.Height,
-			s.Cfg.OCOR, s.Cfg.Seed, s.Cfg.NoPool)
+			s.Cfg.OCOR, s.Cfg.Seed)
 	}
 	if hasKernel && levels != s.Cfg.PriorityLevels {
 		return fmt.Errorf("repro: snapshot has %d priority levels, platform %d (only inert-kernel snapshots may switch)",

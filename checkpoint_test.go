@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -242,22 +243,11 @@ func TestCheckpointInertKernelForksProtocols(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejects covers the guarded failure modes: snapshotting a
-// -nopool platform, restoring into a mismatched configuration, and
-// restoring a non-inert kernel snapshot into a different protocol.
+// TestCheckpointRejects covers the guarded failure modes: restoring into
+// a mismatched configuration, restoring a snapshot whose retired
+// unpooled-mode slot is set, and restoring a non-inert kernel snapshot
+// into a different protocol.
 func TestCheckpointRejects(t *testing.T) {
-	// NoPool platforms hold boxed payloads the codec cannot serialize.
-	nsys, err := New(Config{Benchmark: detProfile(), Threads: 16, Seed: 7, NoPool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nsys.RunTo(500); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nsys.Snapshot(); err == nil {
-		t.Fatal("snapshot of a NoPool platform succeeded; want pooled-mode error")
-	}
-
 	cfg := Config{Benchmark: detProfile(), Threads: 16, OCOR: true, Seed: 7}
 	sys, err := New(cfg)
 	if err != nil {
@@ -284,6 +274,18 @@ func TestCheckpointRejects(t *testing.T) {
 	bad.OCOR = false
 	if _, err := Restore(bad, snap); err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("restore under different OCOR mode: got %v, want config mismatch", err)
+	}
+	// Builds with an unpooled mode wrote its flag into the platform
+	// fingerprint right after the seed; the slot is still written (as
+	// false), and a set one must come back as the mismatch error.
+	old := &checkpoint.Snapshot{Version: snap.Version, Data: append([]byte(nil), snap.Data...)}
+	slot := 4 + len("platform") + 8 + 4 + len(cfg.Benchmark.Name) + 3*8 + 1 + 2*8
+	if seed := binary.LittleEndian.Uint64(old.Data[slot-8:]); seed != cfg.Seed || old.Data[slot] != 0 {
+		t.Fatalf("fingerprint layout drifted: seed %d, slot byte %d", seed, old.Data[slot])
+	}
+	old.Data[slot] = 1
+	if _, err := Restore(cfg, old); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("restore with the unpooled-mode slot set: got %v, want config mismatch", err)
 	}
 	bad = cfg
 	bad.Protocol = "mcs"

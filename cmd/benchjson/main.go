@@ -9,8 +9,8 @@
 // — the sequential per-cycle cost of the saturated NoC tick loop per mesh
 // size, optionally annotated with -tickbase reference points from an
 // earlier commit — a mesh_scaling block — the sparse-traffic cost of
-// eight deliveries on meshes up to 64x64, with and without idle-window
-// fast-forward, optionally annotated with -sparsebase reference points
+// eight deliveries on meshes up to 64x64 under idle-window fast-forward,
+// optionally annotated with -sparsebase reference points
 // measured against the predecessor commit's fused tick — and an intra-run
 // scaling block: the same Fig. 11
 // regeneration timed once per -scaleworkers value, so the record shows
@@ -80,20 +80,18 @@ type tickRecord struct {
 // low-utilization sparse-traffic cost of advancing the network by eight
 // deliveries (the BenchmarkNetworkTickSparse workload — one single-flit
 // lock-token flow ping-ponging across three quarters of an otherwise idle
-// mesh). FastForwardNs is the default engine-driven path (idle-window
-// fast-forward plus hierarchical active sets); NoFastForwardNs disables
-// the fast-forward escape hatch, i.e. every busy cycle executes.
-// BaselineNs, when -sparsebase supplies it, is the same workload measured
-// on the same host against the predecessor commit's fused tick, so the
-// speedup column documents the O(active) win directly.
+// mesh). FastForwardNs is the engine-driven path (idle-window
+// fast-forward plus hierarchical active sets). BaselineNs, when
+// -sparsebase supplies it, is the same workload measured on the same host
+// against the predecessor commit's fused tick, so the speedup column
+// documents the O(active) win directly.
 type meshScalingRecord struct {
-	Mesh            string  `json:"mesh"`
-	Iterations      int     `json:"iterations"`
-	FastForwardNs   float64 `json:"fast_forward_ns_per_op"`
-	NoFastForwardNs float64 `json:"no_fast_forward_ns_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	BaselineNs      float64 `json:"baseline_ns_per_op,omitempty"`
-	SpeedupVs       float64 `json:"speedup_vs_baseline,omitempty"`
+	Mesh          string  `json:"mesh"`
+	Iterations    int     `json:"iterations"`
+	FastForwardNs float64 `json:"fast_forward_ns_per_op"`
+	AllocsPerOp   int64   `json:"allocs_per_op"`
+	BaselineNs    float64 `json:"baseline_ns_per_op,omitempty"`
+	SpeedupVs     float64 `json:"speedup_vs_baseline,omitempty"`
 }
 
 // report is the top-level JSON document.
@@ -508,13 +506,12 @@ func (g *sparseGen) SetWaker(w sim.Waker) { g.waker = w }
 // LinkLatency-8 mesh with 200 think cycles between a delivery and the
 // reverse send. One op advances the run by eight deliveries. Returns the
 // minimum of several timed runs (as measureTicks; noise only inflates).
-func measureSparse(mesh int, noFF bool) testing.BenchmarkResult {
+func measureSparse(mesh int) testing.BenchmarkResult {
 	const think = 200
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = mesh, mesh
 	cfg.Priority = true
 	cfg.LinkLatency = 8
-	cfg.NoFastForward = noFF
 	n := noc.MustNetwork(cfg)
 	delivered := 0
 	g := &sparseGen{net: n, ring: make([]sparseRelease, 2)}
@@ -554,10 +551,9 @@ func measureSparse(mesh int, noFF bool) testing.BenchmarkResult {
 }
 
 // measureMeshScaling builds the mesh_scaling block: for each requested
-// square mesh width, the sparse workload with idle-window fast-forward on
-// (the default engine path) and off (the escape hatch — every busy cycle
-// executes, the predecessor ticking discipline), plus optional -sparsebase
-// reference points measured against the predecessor commit's fused tick.
+// square mesh width, the sparse workload on the engine's fast-forward
+// path, plus optional -sparsebase reference points measured against the
+// predecessor commit's fused tick.
 func measureMeshScaling(meshSpec, baseSpec string) ([]meshScalingRecord, error) {
 	base, err := parseBaseSpec("-sparsebase", baseSpec)
 	if err != nil {
@@ -573,21 +569,19 @@ func measureMeshScaling(meshSpec, baseSpec string) ([]meshScalingRecord, error) 
 		if err != nil || mesh < 4 {
 			return nil, fmt.Errorf("bad -sparsemeshes entry %q", field)
 		}
-		ff := measureSparse(mesh, false)
-		noff := measureSparse(mesh, true)
+		ff := measureSparse(mesh)
 		rec := meshScalingRecord{
-			Mesh:            fmt.Sprintf("%dx%d", mesh, mesh),
-			Iterations:      ff.N,
-			FastForwardNs:   float64(ff.T.Nanoseconds()) / float64(ff.N),
-			NoFastForwardNs: float64(noff.T.Nanoseconds()) / float64(noff.N),
-			AllocsPerOp:     ff.AllocsPerOp(),
+			Mesh:          fmt.Sprintf("%dx%d", mesh, mesh),
+			Iterations:    ff.N,
+			FastForwardNs: float64(ff.T.Nanoseconds()) / float64(ff.N),
+			AllocsPerOp:   ff.AllocsPerOp(),
 		}
 		if ns, ok := base[rec.Mesh]; ok {
 			rec.BaselineNs = ns
 			rec.SpeedupVs = ns / rec.FastForwardNs
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: sparse %-7s %10.0f ns/op ff  %10.0f ns/op noff  %3d allocs/op",
-			rec.Mesh, rec.FastForwardNs, rec.NoFastForwardNs, rec.AllocsPerOp)
+		fmt.Fprintf(os.Stderr, "benchjson: sparse %-7s %10.0f ns/op ff  %3d allocs/op",
+			rec.Mesh, rec.FastForwardNs, rec.AllocsPerOp)
 		if rec.SpeedupVs != 0 {
 			fmt.Fprintf(os.Stderr, "  (%.2fx vs baseline %.0f)", rec.SpeedupVs, rec.BaselineNs)
 		}

@@ -33,7 +33,7 @@ func sampleReport() report {
 			AllocsPerOp: 1, BaselineNs: 1, SpeedupVs: 1,
 		}},
 		MeshScaling: []meshScalingRecord{{
-			Mesh: "8x8", Iterations: 1, FastForwardNs: 1, NoFastForwardNs: 1,
+			Mesh: "8x8", Iterations: 1, FastForwardNs: 1,
 			AllocsPerOp: 1, BaselineNs: 1, SpeedupVs: 1,
 		}},
 		Scaling: []scalingPoint{{Workers: 1, WallSeconds: 1, SpeedupVs1: 1}},

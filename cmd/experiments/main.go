@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro" // also installs the platform cell runner into the experiments package
@@ -24,9 +25,12 @@ import (
 	"repro/internal/profiling"
 )
 
+// known lists the names -run accepts.
+var known = []string{"fig2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table3", "all"}
+
 func main() {
 	var (
-		runList  = flag.String("run", "all", "comma-separated experiments: fig2,fig10,fig11,fig12,fig13,fig14,fig15,fig16,table3 or all")
+		runList  = flag.String("run", "all", "comma-separated experiments: "+strings.Join(known, ","))
 		threads  = flag.Int("threads", 64, "thread/core count for suite experiments")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		scale    = flag.Float64("scale", 1.0, "iteration scale factor (smaller = faster)")
@@ -37,7 +41,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		traceOut = flag.String("trace", "", "write a Perfetto trace of the Fig. 10 bodytrack OCOR run to this file")
-		noPool   = flag.Bool("nopool", false, "disable object freelists (heap-allocate packets/messages; results are identical)")
 		workers  = flag.Int("workers", 1, "intra-simulation worker count per run; composes with -j (0 jobs = GOMAXPROCS/workers)")
 		proto    = flag.String("protocol", "", "kernel lock protocol for every run (empty = default queue spinlock)")
 	)
@@ -46,9 +49,20 @@ func main() {
 	if c := par.WorkerCaveat(*workers); c != "" {
 		fmt.Fprintln(os.Stderr, "experiments: warning:", c)
 	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(*runList, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if name == "" {
+			continue
+		}
+		if !slices.Contains(known, name) {
+			fatal(fmt.Errorf("unknown -run name %q (known: %s)", name, strings.Join(known, ", ")))
+		}
+		want[name] = true
+	}
 
 	if *traceOut != "" {
-		if err := writeFig10Trace(*traceOut, *threads, *seed, *scale, *noPool); err != nil {
+		if err := writeFig10Trace(*traceOut, *threads, *seed, *scale); err != nil {
 			fatal(err)
 		}
 		// A bare -trace invocation only captures the trace; combine with an
@@ -78,11 +92,7 @@ func main() {
 	if err := (&repro.Config{Threads: *threads, Workers: *workers, Protocol: *proto}).Validate(); err != nil {
 		fatal(err)
 	}
-	opt := experiments.Options{Threads: *threads, Seed: *seed, Scale: *scale, Quick: *quick, Jobs: *jobs, NoPool: *noPool, Workers: *workers, Protocol: *proto}
-	want := map[string]bool{}
-	for _, name := range strings.Split(*runList, ",") {
-		want[strings.TrimSpace(strings.ToLower(name))] = true
-	}
+	opt := experiments.Options{Threads: *threads, Seed: *seed, Scale: *scale, Quick: *quick, Jobs: *jobs, Workers: *workers, Protocol: *proto}
 	all := want["all"]
 	progress := os.Stderr
 	if !*verbose {
@@ -168,14 +178,14 @@ func main() {
 // writeFig10Trace runs the Fig. 10 configuration (bodytrack with OCOR
 // enabled) with a structured-event recorder attached and exports the
 // captured events as a Perfetto trace-event JSON file.
-func writeFig10Trace(path string, threads int, seed uint64, scale float64, noPool bool) error {
+func writeFig10Trace(path string, threads int, seed uint64, scale float64) error {
 	p, err := repro.Benchmark("body")
 	if err != nil {
 		return err
 	}
 	p = p.Scale(scale)
 	rec := obs.NewRecorder(0)
-	sys, err := repro.New(repro.Config{Benchmark: p, Threads: threads, OCOR: true, Seed: seed, Obs: rec, NoPool: noPool})
+	sys, err := repro.New(repro.Config{Benchmark: p, Threads: threads, OCOR: true, Seed: seed, Obs: rec})
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "rng seed")
 		csv      = flag.Bool("csv", false, "print machine-readable per-class CSV rows instead of the table")
 		traceOut = flag.String("trace", "", "write a Perfetto trace-event JSON file of the run")
-		noPool   = flag.Bool("nopool", false, "disable the packet freelist (heap-allocate packets; results are identical)")
 		workers  = flag.Int("workers", 1, "intra-tick worker count (>1 runs the sharded fused tick; results are identical)")
 		proto    = flag.String("protocol", "", "lock protocol whose wait policy sets the spin budget behind lock-packet priorities (\"\" = baseline)")
 	)
@@ -53,7 +52,6 @@ func main() {
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = w, h
 	cfg.Priority = *priority
-	cfg.NoPool = *noPool
 	// Validate explicitly (NewNetwork would too) so a bad -mesh is
 	// reported as the typed config error before anything is built.
 	if err := cfg.Validate(); err != nil {

@@ -36,7 +36,6 @@ func main() {
 		list     = flag.Bool("list", false, "list the benchmark catalog and exit")
 		traceOut = flag.String("traceout", "", "write a Perfetto trace-event JSON file (OCOR run in compare mode)")
 		histo    = flag.Bool("histo", false, "print streaming latency histograms and arbitration counters")
-		noPool   = flag.Bool("nopool", false, "disable object freelists (heap-allocate packets/messages; results are identical)")
 		workers  = flag.Int("workers", 1, "intra-simulation worker count for the NoC tick (results are identical for every value)")
 		proto    = flag.String("protocol", "", "kernel lock protocol (empty = default queue spinlock; see internal/kernel/protocol)")
 	)
@@ -64,7 +63,7 @@ func main() {
 	// topology is reported once, before any simulation output.
 	runCfg := repro.Config{
 		Benchmark: p, Threads: *threads, PriorityLevels: *levels,
-		Seed: *seed, Trace: *trace, NoPool: *noPool, Workers: *workers,
+		Seed: *seed, Trace: *trace, Workers: *workers,
 		Protocol: *proto,
 	}
 	if err := runCfg.Validate(); err != nil {

@@ -69,7 +69,6 @@ type sweepConfig struct {
 	jobs     int
 	workers  int
 	protocol string
-	noPool   bool
 	warm     bool
 	stop     <-chan struct{}
 
@@ -105,7 +104,6 @@ func main() {
 		jobs    = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		noPool  = flag.Bool("nopool", false, "disable object freelists (heap-allocate packets/messages; results are identical)")
 		workers = flag.Int("workers", 1, "intra-simulation worker count per run; composes with -j (0 jobs = GOMAXPROCS/workers)")
 		proto   = flag.String("protocol", "", "kernel lock protocol for every run (empty = default queue spinlock)")
 		warm    = flag.Bool("warm", true, "warm-start cells from a shared pre-first-lock prefix snapshot")
@@ -120,7 +118,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep: warning:", c)
 	}
 	sc := sweepConfig{
-		scale: *scale, jobs: *jobs, workers: *workers, protocol: *proto, noPool: *noPool,
+		scale: *scale, jobs: *jobs, workers: *workers, protocol: *proto,
 		warm: *warm, fleetWorkers: *fleetN, spool: *spool, ckptDir: *ckptDir, cellTimeout: *cellTO,
 	}
 	if err := sc.check(); err != nil {
@@ -211,7 +209,7 @@ func expandCells(sc sweepConfig) []experiments.Cell {
 	for _, c := range sc.grid {
 		base := experiments.Cell{
 			Profile: sc.prof, Threads: c.threads, Seed: c.seed,
-			Protocol: sc.protocol, NoPool: sc.noPool, Workers: sc.workers,
+			Protocol: sc.protocol, Workers: sc.workers,
 		}
 		ocor := base
 		ocor.OCOR = true
@@ -298,7 +296,7 @@ func newCSVEmitter(sc sweepConfig, out io.Writer) *csvEmitter {
 	}
 	_ = e.w.Write([]string{
 		"benchmark", "threads", "levels", "seed", "protocol", "workers",
-		"nopool", "scale", "config",
+		"scale", "config",
 		"roi_finish", "total_coh", "spin_fraction", "sleeps",
 		"coh_improvement", "roi_improvement",
 	})
@@ -342,7 +340,7 @@ func (e *csvEmitter) row(c cell, cfg string, r metrics.Results, cohImp, roiImp f
 	_ = e.w.Write([]string{
 		e.sc.prof.Name, strconv.Itoa(c.threads), strconv.Itoa(c.levels),
 		strconv.FormatUint(c.seed, 10), e.sc.protocol, strconv.Itoa(e.sc.workers),
-		strconv.FormatBool(e.sc.noPool), strconv.FormatFloat(e.sc.scale, 'f', -1, 64), cfg,
+		strconv.FormatFloat(e.sc.scale, 'f', -1, 64), cfg,
 		strconv.FormatUint(r.ROIFinish, 10),
 		strconv.FormatUint(r.TotalCOH, 10),
 		strconv.FormatFloat(r.SpinFraction, 'f', 4, 64),

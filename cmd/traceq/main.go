@@ -36,7 +36,6 @@ func main() {
 		ocor    = flag.Bool("ocor", true, "enable OCOR for in-process capture")
 		top     = flag.Int("top", 10, "number of slowest acquisitions to print")
 		jobs    = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		noPool  = flag.Bool("nopool", false, "disable object freelists (heap-allocate packets/messages; results are identical)")
 		proto   = flag.String("protocol", "", "kernel lock protocol for in-process capture (empty = default queue spinlock)")
 	)
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 			rec := obs.NewRecorder(0)
 			sys, err := repro.New(repro.Config{
 				Benchmark: p, Threads: *threads, OCOR: *ocor,
-				Seed: *seed + uint64(i), Obs: rec, NoPool: *noPool,
+				Seed: *seed + uint64(i), Obs: rec,
 				Protocol: *proto,
 			})
 			if err != nil {

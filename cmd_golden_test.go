@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,8 +13,9 @@ import (
 // against golden files: the lock arena's JSON leaderboard, the fault
 // sweep's degradation curve (one healthy and one watchdog-tripping drop
 // rate, so failed runs are pinned as data), the Fig. 10/15/16 and
-// Table 3 report, and the sweep CSV — as a plain grid, and as a
-// -checkpoint-dir run followed by a resume over the same directory.
+// Table 3 report (and the error an unknown -run name gets), and the sweep
+// CSV — as a plain grid, and as a -checkpoint-dir run followed by a
+// resume over the same directory.
 // Every command runs at -j 1 and -j 4 against the same golden. The
 // commands are built from this checkout and driven only through their
 // flags, so the goldens hold across any refactor of the harness behind
@@ -54,6 +56,22 @@ func TestCommandGoldens(t *testing.T) {
 			})
 		}
 	}
+	// A typo in -run fails before the first simulation: exit status 1,
+	// nothing on stdout, and the known names on stderr.
+	t.Run("experiments-unknown-run", func(t *testing.T) {
+		cmd := exec.Command(filepath.Join(bin, "experiments"), "-run", "fig10,fig99", "-quick", "-scale", "0.02")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
+			t.Fatalf("got %v with stdout %q; want exit status 1 and no output", err, out)
+		}
+		want := "experiments: unknown -run name \"fig99\" (known: fig2, fig10, fig11, fig12, fig13, fig14, fig15, fig16, table3, all)\n"
+		if stderr.String() != want {
+			t.Fatalf("stderr %q, want %q", stderr.String(), want)
+		}
+	})
 	for _, j := range []string{"1", "4"} {
 		t.Run("sweep-checkpoint/j="+j, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ckpt")

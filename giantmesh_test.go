@@ -80,7 +80,7 @@ func TestGiantMeshSmoke(t *testing.T) {
 // 64x64 mesh — 4096 nodes, of which 98% never host a thread, exactly the
 // regime the O(active) ticking targets. The four-worker fast-forward run,
 // with the fused tick forced, must complete, stay coherent, and be
-// byte-identical to a sequential run with fast-forward disabled (the
+// byte-identical to a sequential run on the busyTickEngine oracle (the
 // conservative tick-every-busy-cycle discipline), closing the {workers} x
 // {fast-forward} matrix at the platform level on a giant mesh.
 func TestGiantMeshSmoke64(t *testing.T) {
@@ -119,8 +119,6 @@ func TestGiantMeshSmoke64(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ncfg := noc.DefaultConfig()
-	ncfg.NoFastForward = true
 	seq, err := New(Config{
 		Benchmark:  p,
 		Threads:    64,
@@ -128,12 +126,12 @@ func TestGiantMeshSmoke64(t *testing.T) {
 		MeshHeight: 64,
 		OCOR:       true,
 		Seed:       11,
-		NoC:        &ncfg,
 		Watchdog:   &sim.WatchdogConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	busyTickEngine(t, seq)
 	seqRes, err := seq.Run()
 	if err != nil {
 		t.Fatalf("sequential conservative 64x64 run failed: %v", err)

@@ -36,18 +36,10 @@ func newHarness(t testing.TB, w, h int) *harness {
 	for i := 0; i < ncfg.Nodes(); i++ {
 		node := i
 		net.SetSink(node, func(now uint64, pkt *noc.Packet) {
-			switch pkt.PayloadKind {
-			case noc.PayloadMem:
+			if pkt.PayloadKind == noc.PayloadMem {
 				ms.DeliverPacket(now, node, pkt)
-			case noc.PayloadKernel:
+			} else {
 				ks.DeliverPacket(now, node, pkt)
-			default:
-				switch m := pkt.Payload.(type) {
-				case *mem.Msg:
-					ms.Deliver(now, node, m)
-				case *kernel.Msg:
-					ks.Deliver(now, node, m)
-				}
 			}
 		})
 	}

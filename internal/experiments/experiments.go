@@ -34,11 +34,6 @@ type Options struct {
 	// the setting: every simulation is seeded individually and reports
 	// are assembled in catalog order.
 	Jobs int
-	// NoPool disables the platform's object freelists and allocates every
-	// packet/message from the heap instead. Results are byte-identical
-	// either way (the pool regression tests assert it); the switch exists
-	// to isolate the recycler when debugging and to measure its effect.
-	NoPool bool
 	// Workers is the intra-simulation parallelism width handed to every
 	// run (values > 1 shard each NoC tick over a worker pool of that
 	// size). Results are byte-identical for every value; only wall-clock
@@ -92,7 +87,7 @@ func (o Options) profiles() []workload.Profile {
 // protocol and widths.
 func (o Options) cell(p workload.Profile, threads int, ocor bool) Cell {
 	return Cell{Profile: p, Threads: threads, OCOR: ocor, Seed: o.Seed,
-		Protocol: o.Protocol, NoPool: o.NoPool, Workers: o.Workers}
+		Protocol: o.Protocol, Workers: o.Workers}
 }
 
 // grid runs cells through RunGrid under the options' job budget.

@@ -29,7 +29,6 @@ type Cell struct {
 	Levels   int
 	Seed     uint64
 	Protocol string
-	NoPool   bool
 	Workers  int
 
 	// TraceThreads > 0 records the region timeline and renders its first
@@ -59,10 +58,12 @@ func (c Cell) Forkable() bool { return c.TraceThreads == 0 && !c.Observe && !c.F
 // Key is the cell's full-configuration identity: cells with equal keys
 // produce byte-identical results (the platform's determinism guarantee),
 // so only one representative per key is ever simulated. Knob fields
-// appear only when set, so plain cells keep their keys across versions.
+// appear only when set, so plain cells keep their keys across versions;
+// the literal |nfalse| segment is the retired unpooled-mode flag, kept so
+// existing spools and prefix caches stay valid.
 func (c Cell) Key() string {
-	k := fmt.Sprintf("%+v|t%d|o%v|l%d|s%d|p%s|n%v|w%d",
-		c.Profile, c.Threads, c.OCOR, c.Levels, c.Seed, c.Protocol, c.NoPool, c.Workers)
+	k := fmt.Sprintf("%+v|t%d|o%v|l%d|s%d|p%s|nfalse|w%d",
+		c.Profile, c.Threads, c.OCOR, c.Levels, c.Seed, c.Protocol, c.Workers)
 	if c.TraceThreads != 0 {
 		k += fmt.Sprintf("|tr%d", c.TraceThreads)
 	}
@@ -82,8 +83,8 @@ func (c Cell) Key() string {
 // OCOR stays in the key — it selects the router arbitration algorithm,
 // whose pointer updates differ even while no prioritized packet exists.
 func (c Cell) PrefixKey() string {
-	return fmt.Sprintf("%+v|t%d|o%v|s%d|n%v|w%d",
-		c.Profile, c.Threads, c.OCOR, c.Seed, c.NoPool, c.Workers)
+	return fmt.Sprintf("%+v|t%d|o%v|s%d|nfalse|w%d",
+		c.Profile, c.Threads, c.OCOR, c.Seed, c.Workers)
 }
 
 // CellResult is one cell's outcome: the standard results plus the views

@@ -44,11 +44,6 @@ type Config struct {
 	// fairness flush to the global queue head (0 = default). Ignored by
 	// other protocols.
 	CNALocalCap int
-	// NoPool disables the deterministic message freelist (every send heap-
-	// allocates); results are byte-identical either way.
-	NoPool bool
-	// PoolDebug enables the freelist's use-after-free checker.
-	PoolDebug bool
 	// Recovery configures the lock-liveness recovery machinery. Disabled
 	// by default; when disabled the protocol is byte-identical to a build
 	// without the recovery code.

@@ -87,8 +87,8 @@ type Msg struct {
 	// winning request packet's per-hop history.
 	ReqPktID uint64
 
-	// ref is the message's slot in the sending system's slab (0 = plain
-	// heap allocation, e.g. tests or -nopool runs). The carrying packet's
-	// PayloadRef and the post-delivery Free both come from it.
+	// ref is the message's slot in the sending system's slab (0 = a test's
+	// heap-allocated message). The carrying packet's PayloadRef and the
+	// post-delivery Free both come from it.
 	ref uint32
 }

@@ -105,12 +105,8 @@ func (s *System) LoadMsg(r *checkpoint.Reader) uint32 {
 
 // SnapshotTo writes the kernel's complete dynamic state: the timer queue
 // (as tagged actions), every client's acquisition state and every
-// controller's lock table. Requires pooled messages — a -nopool system's
-// in-flight payloads are unserializable boxed pointers.
+// controller's lock table.
 func (s *System) SnapshotTo(w *checkpoint.Writer) error {
-	if s.msgs.Disabled {
-		return fmt.Errorf("kernel: checkpointing requires pooled messages (NoPool unset)")
-	}
 	seq, actions, err := s.delay.SaveActions()
 	if err != nil {
 		return fmt.Errorf("kernel: %w", err)

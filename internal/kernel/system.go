@@ -52,8 +52,6 @@ func NewSystem(cfg Config, net *noc.Network) (*System, error) {
 		return nil, err
 	}
 	s.proto = proto
-	s.msgs.Disabled = cfg.NoPool
-	s.msgs.Debug = cfg.PoolDebug
 	nodes := net.Cfg.Nodes()
 	s.Clients = make([]*Client, nodes)
 	s.Controllers = make([]*Controller, nodes)
@@ -118,12 +116,7 @@ func (s *System) sendMsg(now uint64, src, dst int, mv Msg, prio core.Priority) {
 	ref, m := s.msgs.Alloc()
 	mv.ref = ref
 	*m = mv
-	var pkt *noc.Packet
-	if ref != 0 {
-		pkt = s.Net.NewPacketRef(src, dst, class, vnet, noc.PayloadKernel, ref)
-	} else {
-		pkt = s.Net.NewPacket(src, dst, class, vnet, m)
-	}
+	pkt := s.Net.NewPacketRef(src, dst, class, vnet, noc.PayloadKernel, ref)
 	m.PktID = pkt.ID
 	pkt.Prio = prio
 	// Grants and fails inherit the priority of the request they answer, so
@@ -142,17 +135,11 @@ func (s *System) MsgAt(ref uint32) *Msg { return s.msgs.At(ref) }
 // must report zero (leak check).
 func (s *System) MsgsLive() int { return s.msgs.Live() }
 
-// DeliverPacket resolves a packet carrying a lock-protocol message (typed
-// slab ref or legacy boxed payload), delivers it at node, and recycles the
-// packet. Network sinks for kernel-only setups use it directly.
+// DeliverPacket resolves a packet carrying a lock-protocol message's slab
+// ref, delivers the message at node, and recycles the packet. Network
+// sinks for kernel-only setups use it directly.
 func (s *System) DeliverPacket(now uint64, node int, pkt *noc.Packet) {
-	var m *Msg
-	if pkt.PayloadKind == noc.PayloadKernel {
-		m = s.msgs.At(pkt.PayloadRef)
-	} else {
-		m = pkt.Payload.(*Msg)
-	}
-	s.Deliver(now, node, m)
+	s.Deliver(now, node, s.msgs.At(pkt.PayloadRef))
 	s.Net.FreePacket(pkt)
 }
 

@@ -47,11 +47,6 @@ type Config struct {
 	// the paper's placement: the middle four nodes of the top and bottom
 	// rows of the mesh.
 	MCNodes []int
-	// NoPool disables the deterministic message freelist (every send heap-
-	// allocates); results are byte-identical either way.
-	NoPool bool
-	// PoolDebug enables the freelist's use-after-free checker.
-	PoolDebug bool
 }
 
 // DefaultConfig returns the paper's Table 2 parameters.

@@ -86,9 +86,9 @@ type Msg struct {
 	// Stale marks a PutAck for a Put that raced with an ownership change.
 	Stale bool
 
-	// ref is the message's slot in the memory system's slab (0 = plain
-	// heap allocation, e.g. tests or -nopool runs). The carrying packet's
-	// PayloadRef and the post-consumption free both come from it.
+	// ref is the message's slot in the memory system's slab (0 = a test's
+	// heap-allocated message). The carrying packet's PayloadRef and the
+	// post-consumption free both come from it.
 	ref uint32
 }
 

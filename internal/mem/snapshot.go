@@ -91,11 +91,7 @@ func (s *System) internMsg(r *checkpoint.Reader) *Msg {
 // pipeline timer queue (as tagged actions), every L1's lines/MSHRs/
 // write-backs, every directory entry with its transaction and queued
 // messages, and every memory controller's banks and backing store.
-// Requires pooled messages.
 func (s *System) SnapshotTo(w *checkpoint.Writer) error {
-	if s.msgs.Disabled {
-		return fmt.Errorf("mem: checkpointing requires pooled messages (NoPool unset)")
-	}
 	seq, actions, err := s.delay.SaveActions()
 	if err != nil {
 		return fmt.Errorf("mem: %w", err)

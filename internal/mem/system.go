@@ -45,8 +45,6 @@ func NewSystem(cfg Config, net *noc.Network) (*System, error) {
 		}
 	}
 	s := &System{Cfg: cfg, Net: net, MCs: make(map[int]*MC)}
-	s.msgs.Disabled = cfg.NoPool
-	s.msgs.Debug = cfg.PoolDebug
 	s.L1s = make([]*L1, nodes)
 	s.Dirs = make([]*Directory, nodes)
 	for i := 0; i < nodes; i++ {
@@ -76,16 +74,11 @@ func (s *System) sendMsg(now uint64, src, dst int, mv Msg) {
 	ref, m := s.msgs.Alloc()
 	mv.ref = ref
 	*m = mv
-	var pkt *noc.Packet
-	if ref != 0 {
-		pkt = s.Net.NewPacketRef(src, dst, class, m.vnet(), noc.PayloadMem, ref)
-	} else {
-		pkt = s.Net.NewPacket(src, dst, class, m.vnet(), m)
-	}
-	s.Net.Send(now, pkt)
+	s.Net.Send(now, s.Net.NewPacketRef(src, dst, class, m.vnet(), noc.PayloadMem, ref))
 }
 
-// freeMsg recycles a consumed message (no-op for unpooled ones).
+// freeMsg recycles a consumed message (no-op for one built outside the
+// slab, e.g. by a test).
 func (s *System) freeMsg(m *Msg) { s.msgs.Free(m.ref) }
 
 // MsgAt resolves a PayloadMem packet reference to its message (the
@@ -96,17 +89,11 @@ func (s *System) MsgAt(ref uint32) *Msg { return s.msgs.At(ref) }
 // must report zero (leak check).
 func (s *System) MsgsLive() int { return s.msgs.Live() }
 
-// DeliverPacket resolves a packet carrying a coherence message (typed
-// slab ref or legacy boxed payload), delivers it at node, and recycles
-// the packet. Network sinks for memory-only setups use it directly.
+// DeliverPacket resolves a packet carrying a coherence message's slab
+// ref, delivers the message at node, and recycles the packet. Network
+// sinks for memory-only setups use it directly.
 func (s *System) DeliverPacket(now uint64, node int, pkt *noc.Packet) {
-	var m *Msg
-	if pkt.PayloadKind == noc.PayloadMem {
-		m = s.msgs.At(pkt.PayloadRef)
-	} else {
-		m = pkt.Payload.(*Msg)
-	}
-	s.Deliver(now, node, m)
+	s.Deliver(now, node, s.msgs.At(pkt.PayloadRef))
 	s.Net.FreePacket(pkt)
 }
 

@@ -195,7 +195,6 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 	)
 	cfg := testConfig(mesh, mesh, true)
 	cfg.LinkLatency = 8
-	cfg.NoFastForward = noFF
 	n := MustNetwork(cfg)
 	delivered := 0
 	g := &sparseGen{net: n, ring: make([]sparseRelease, flows+1)}
@@ -209,7 +208,7 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 		n.SetSink(j, resend)
 	}
 	e := sim.NewEngine()
-	e.Register(n)
+	e.Register(engineView(n, noFF))
 	e.Register(g)
 	rng := sim.NewRNG(42)
 	span := 3 * mesh / 4
@@ -236,9 +235,9 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 // 64x64. Per-op cost should be near-flat in mesh size (the hierarchical
 // active sets touch only live state) and far below the dense
 // BenchmarkNetworkTick (idle-window fast-forward skips the cycles where
-// nothing is due). The noff variant pins the fast-forward escape hatch:
-// it is the PR 6 ticking discipline (every busy cycle executes) and is
-// what cmd/benchjson captures as the mesh_scaling baseline.
+// nothing is due). The noff variant runs the busyTicked oracle, the
+// tick-every-busy-cycle discipline fast-forward replaced, so the cost of
+// losing fast-forward stays measurable.
 func BenchmarkNetworkTickSparse(b *testing.B) {
 	for _, mesh := range []int{8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("mesh=%dx%d", mesh, mesh), func(b *testing.B) {

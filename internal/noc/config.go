@@ -96,18 +96,6 @@ type Config struct {
 	// Priority selects OCOR priority-based VC and switch allocation;
 	// false selects the baseline round-robin allocators.
 	Priority bool
-	// CollectPerHop enables more expensive per-hop statistics.
-	CollectPerHop bool
-	// NoPool disables the deterministic packet freelist: every NewPacket
-	// heap-allocates and FreePacket is a no-op. Results are required (and
-	// regression-tested) to be byte-identical either way; the flag exists
-	// to isolate pooling bugs and to measure its effect.
-	NoPool bool
-	// PoolDebug enables the freelist's use-after-free checker: freed
-	// packets are zeroed and poisoned so stale pointers fail fast instead
-	// of silently reading recycled contents. Double frees always panic,
-	// with or without this flag.
-	PoolDebug bool
 	// ParThreshold tunes when a network with a tick pool attached runs a
 	// cycle as one fused parallel tick rather than sequentially. The gate
 	// is one per-cycle work count: router-buffered flits plus links
@@ -120,21 +108,6 @@ type Config struct {
 	// cycle sequential. Both paths produce byte-identical state, so the
 	// threshold only affects speed, never results.
 	ParThreshold int
-	// NoFastForward makes NextWake answer the conservative now+1 whenever
-	// the network is busy instead of the exact NextEventCycle horizon, so
-	// an event-driven engine ticks the network every cycle it holds any
-	// in-flight work. It is the idle-window-skipping escape hatch — both
-	// modes are byte-identical (regression-tested); the flag exists to
-	// isolate fast-forward bugs and to measure its effect.
-	NoFastForward bool
-	// RebalanceEpoch is the period, in fused parallel cycles, at which the
-	// sharded tick executor repartitions the node range by measured
-	// activity (each shard gets an equal share of the active-node weight
-	// instead of an equal share of nodes). 0 uses the built-in default
-	// (512); a negative value disables rebalancing and keeps the fixed
-	// uniform split. Shards stay contiguous and commit in ascending order,
-	// so the partition never affects results, only load balance.
-	RebalanceEpoch int
 }
 
 // DefaultConfig returns the paper's 8x8 configuration.

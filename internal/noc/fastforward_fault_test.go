@@ -21,10 +21,9 @@ func delayPlan() fault.Plan {
 
 // delayedNet builds a 4x4 priority mesh under delayPlan with a
 // deterministic all-to-all workload and delivery-recording sinks.
-func delayedNet(t *testing.T, noFF bool) (*Network, *fault.Injector, *strings.Builder) {
+func delayedNet(t *testing.T) (*Network, *fault.Injector, *strings.Builder) {
 	t.Helper()
 	cfg := testConfig(4, 4, true)
-	cfg.NoFastForward = noFF
 	n := MustNetwork(cfg)
 	inj := fault.NewInjector(delayPlan())
 	n.SetFaults(inj)
@@ -71,7 +70,7 @@ func delayedNet(t *testing.T, noFF bool) (*Network, *fault.Injector, *strings.Bu
 // NextEventCycle-sized jumps, so a stuck horizon fails fast instead of
 // timing out.
 func TestNextEventCycleFaultDelayFloor(t *testing.T) {
-	n, inj, _ := delayedNet(t, false)
+	n, inj, _ := delayedNet(t)
 	now := uint64(0)
 	steps := 0
 	for n.Busy() {
@@ -102,12 +101,13 @@ func TestNextEventCycleFaultDelayFloor(t *testing.T) {
 // TestFastForwardFaultDelayIdentity holds fast-forward to the engine
 // equivalence bar in the fault-delay regime: skipping to NextEventCycle
 // horizons must leave every delivery (node, packet, hop count, cycle) and
-// the final census byte-identical to ticking the network on every cycle.
+// the final census byte-identical to ticking the network on every busy
+// cycle (the busyTicked oracle).
 func TestFastForwardFaultDelayIdentity(t *testing.T) {
 	run := func(noFF bool) string {
-		n, inj, sb := delayedNet(t, noFF)
+		n, inj, sb := delayedNet(t)
 		e := sim.NewEngine()
-		e.Register(n)
+		e.Register(engineView(n, noFF))
 		e.MaxCycles = 100000
 		e.RunUntil(func() bool { return !n.Busy() })
 		if n.Busy() {

@@ -97,8 +97,8 @@ type Network struct {
 
 	// pktSlab recycles Packets: NewPacket draws from it and FreePacket
 	// (called by the consumer once the packet is fully processed) returns
-	// them. The LIFO freelist is deterministic, so pooled and unpooled
-	// runs are byte-identical.
+	// them. The LIFO freelist is deterministic, so reuse order depends only
+	// on the simulation's own alloc/free sequence.
 	pktSlab pool.Slab[Packet]
 }
 
@@ -113,8 +113,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{Cfg: cfg, localDelay: 2}
-	n.pktSlab.Disabled = cfg.NoPool
-	n.pktSlab.Debug = cfg.PoolDebug
 	nodes := cfg.Nodes()
 	n.Routers = make([]*Router, nodes)
 	n.NIs = make([]*NI, nodes)
@@ -249,11 +247,11 @@ func (n *Network) SetObserver(r *obs.Recorder) {
 	}
 }
 
-// newPacket draws a packet from the slab (or the heap under -nopool) and
-// fully resets it — every field is overwritten, so a recycled packet is
-// indistinguishable from a fresh one and determinism cannot depend on the
-// pool. Size is derived from the class: data packets use
-// Cfg.DataPacketFlits, everything else one flit.
+// newPacket draws a packet from the slab and fully resets it — every
+// field is overwritten, so a recycled packet is indistinguishable from a
+// fresh one and determinism cannot depend on the pool. Size is derived
+// from the class: data packets use Cfg.DataPacketFlits, everything else
+// one flit.
 func (n *Network) newPacket(src, dst int, class Class, vnet int) *Packet {
 	n.pktID++
 	size := 1
@@ -293,22 +291,8 @@ func (n *Network) NewPacketRef(src, dst int, class Class, vnet int, kind Payload
 
 // FreePacket recycles a delivered packet. The consumer (the platform's
 // delivery sink, or a test's) calls it once the packet and its payload are
-// fully processed; packets the network allocated unpooled (-nopool) are
-// left to the GC. Freeing the same packet twice panics.
-func (n *Network) FreePacket(pkt *Packet) {
-	ref := pkt.poolRef
-	if ref == 0 {
-		return
-	}
-	n.pktSlab.Free(ref)
-	if n.Cfg.PoolDebug {
-		// The slab zeroed the packet; re-poison so a stale pointer that
-		// reaches Send fails the endpoint check, and keep the ref so a
-		// second FreePacket still trips the slab's double-free panic.
-		pkt.Src, pkt.Dst = -1, -1
-		pkt.poolRef = ref
-	}
-}
+// fully processed. Freeing the same packet twice panics.
+func (n *Network) FreePacket(pkt *Packet) { n.pktSlab.Free(pkt.poolRef) }
 
 // PoolStats reports the packet slab's counters: total allocations, how
 // many were served from the freelist, frees, and packets still live.
@@ -506,18 +490,14 @@ func (n *Network) recordDelivery(pkt *Packet) {
 }
 
 // NextWake implements sim.Component: the network needs ticking while any
-// flit, credit or queued packet exists anywhere. Unless the escape hatch
-// Config.NoFastForward is set, the answer is the exact next event cycle,
-// which lets the engine's min-heap jump the clock across idle windows —
-// e.g. the LinkLatency-1 dead cycles of every hop of a lone packet
-// crossing a giant, otherwise-quiet mesh — instead of ticking the network
-// through provable no-ops.
+// flit, credit or queued packet exists anywhere. The answer is the exact
+// next event cycle, which lets the engine's min-heap jump the clock across
+// idle windows — e.g. the LinkLatency-1 dead cycles of every hop of a
+// lone packet crossing a giant, otherwise-quiet mesh — instead of ticking
+// the network through provable no-ops.
 func (n *Network) NextWake(now uint64) uint64 {
 	if !n.Busy() {
 		return sim.Never
-	}
-	if n.Cfg.NoFastForward {
-		return now + 1
 	}
 	return n.NextEventCycle(now)
 }

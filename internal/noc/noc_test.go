@@ -487,23 +487,17 @@ func TestYXAllPairs(t *testing.T) {
 	}
 }
 
-// TestPoolDebugDoubleFreePanics frees the same packet twice through the
-// public FreePacket surface with PoolDebug on, and asserts the exact
-// slab diagnostic a user sees: PoolDebug keeps the ref on the poisoned
-// packet precisely so the second free trips the checker instead of
-// silently corrupting the freelist.
-func TestPoolDebugDoubleFreePanics(t *testing.T) {
-	cfg := testConfig(2, 2, false)
-	cfg.PoolDebug = true
-	n, err := NewNetwork(cfg)
+// TestFreePacketDoubleFreePanics frees the same packet twice through the
+// public FreePacket surface and asserts the exact slab diagnostic a user
+// sees: the freed packet keeps its slab ref, so the second free trips the
+// slab's double-free check instead of silently corrupting the freelist.
+func TestFreePacketDoubleFreePanics(t *testing.T) {
+	n, err := NewNetwork(testConfig(2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkt := n.NewPacket(0, 1, ClassCtrl, VNetRequest, nil)
 	n.FreePacket(pkt)
-	if pkt.Src != -1 || pkt.Dst != -1 {
-		t.Fatalf("PoolDebug did not poison the freed packet: src=%d dst=%d", pkt.Src, pkt.Dst)
-	}
 	defer func() {
 		r := recover()
 		want := "pool: double free of ref 1"

@@ -44,8 +44,8 @@ type PayloadKind uint8
 
 // Registered payload kinds.
 const (
-	// PayloadNone: no typed reference; any payload is in the legacy
-	// Payload field (tests, synthetic traffic, -nopool runs).
+	// PayloadNone: no typed reference; any payload is in the untyped
+	// Payload field (tests, synthetic traffic).
 	PayloadNone PayloadKind = iota
 	// PayloadKernel: PayloadRef indexes the lock kernel's message slab.
 	PayloadKernel
@@ -87,8 +87,7 @@ type Packet struct {
 	// Hops is the number of routers traversed.
 	Hops int
 
-	// poolRef is the packet's own ref in the network's packet slab
-	// (0 = heap-allocated, not recycled).
+	// poolRef is the packet's own ref in the network's packet slab.
 	poolRef uint32
 }
 

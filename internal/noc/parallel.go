@@ -174,7 +174,8 @@ type tickExec struct {
 	doR, doNI bool
 
 	// Every rebalanceEvery fused cycles (0 = disabled) the shard
-	// boundaries are recut from the current active bitmaps.
+	// boundaries are recut from the current active bitmaps. SetTickPool
+	// sets defaultRebalanceEvery; tests override it after attaching.
 	rebalanceEvery int
 
 	fusedFn func(worker int)
@@ -186,6 +187,11 @@ type tickExec struct {
 // "Intra-run scaling"). The saturated 16x16 mesh, about 4.5k work per
 // cycle, still loses with two workers; the 24x24 mesh, about 11.4k, wins.
 const defaultParWork = 8192
+
+// defaultRebalanceEvery is the executor's rebalancing period in fused
+// cycles. Shards stay contiguous and commit in ascending order, so the
+// period only affects load balance, never results.
+const defaultRebalanceEvery = 512
 
 // SetTickPool attaches (or with nil detaches) a worker pool for
 // intra-cycle parallelism. A pool of one worker is equivalent to nil: the
@@ -217,12 +223,7 @@ func (n *Network) SetTickPool(p *par.Pool) {
 		}
 	}
 	e.fusedFn = e.fusedShard
-	switch {
-	case n.Cfg.RebalanceEpoch > 0:
-		e.rebalanceEvery = n.Cfg.RebalanceEpoch
-	case n.Cfg.RebalanceEpoch == 0:
-		e.rebalanceEvery = 512
-	}
+	e.rebalanceEvery = defaultRebalanceEvery
 	// Both paths are state-identical, so the gate only decides speed.
 	switch {
 	case n.Cfg.ParThreshold < 0:

@@ -22,7 +22,7 @@ type sigParams struct {
 	stride       int // open flows on every stride-th node only (0 = 1 = all)
 	linkLat      int // Config.LinkLatency override (0 keeps the default)
 	noFF         bool
-	rebalance    int // Config.RebalanceEpoch (0 keeps the default)
+	rebalance    int // executor rebalance period (0 keeps the default, negative disables)
 	rec          *obs.Recorder
 }
 
@@ -34,14 +34,13 @@ type sigParams struct {
 //
 // workers > 1 attaches a pool of that size through the engine (exercising
 // the sim.TickPoolUser forwarding); parThreshold is Config.ParThreshold;
+// noFF registers the busyTicked oracle instead of the bare network;
 // rec optionally attaches an observer (which must keep every cycle
 // sequential without changing results).
 func runSignature(t *testing.T, p sigParams) string {
 	t.Helper()
 	cfg := testConfig(p.w, p.h, p.prio)
 	cfg.ParThreshold = p.parThreshold
-	cfg.NoFastForward = p.noFF
-	cfg.RebalanceEpoch = p.rebalance
 	if p.linkLat > 0 {
 		cfg.LinkLatency = p.linkLat
 	}
@@ -70,12 +69,15 @@ func runSignature(t *testing.T, p sigParams) string {
 	}
 
 	e := sim.NewEngine()
-	e.Register(n)
+	e.Register(engineView(n, p.noFF))
 	if p.workers > 1 {
 		pool := par.NewPool(p.workers)
 		defer pool.Close()
 		e.SetTickPool(pool)
 		defer e.SetTickPool(nil)
+		if p.rebalance != 0 {
+			n.exec.rebalanceEvery = max(p.rebalance, 0)
+		}
 	}
 
 	// Seed-driven all-to-some traffic: every stride-th node opens several
@@ -186,12 +188,12 @@ func TestParallelTickMatchesSequentialLarge(t *testing.T) {
 }
 
 // TestFastForwardMatchesSequential is the idle-window fast-forward
-// identity: with NoFastForward unset the engine asks NextEventCycle and
+// identity: the network's NextWake answers NextEventCycle, so the engine
 // jumps straight to the next cycle where the network has work, and the
 // simulation must still be byte-identical to the conservative
-// tick-every-busy-cycle discipline, for every worker count and both
-// arbitration policies. LinkLatency 4 opens multi-cycle flight gaps so
-// the skip path is actually taken.
+// tick-every-busy-cycle discipline of the busyTicked oracle, for every
+// worker count and both arbitration policies. LinkLatency 4 opens
+// multi-cycle flight gaps so the skip path is actually taken.
 func TestFastForwardMatchesSequential(t *testing.T) {
 	for _, prio := range []bool{false, true} {
 		ref := runSignature(t, sigParams{w: 8, h: 8, prio: prio, workers: 1,

@@ -101,9 +101,6 @@ func (n *Network) collectPackets(links []*link) ([]*Packet, map[*Packet]int32) {
 // counters and bitmaps are recomputed on restore; their totals are written
 // anyway as an integrity cross-check.
 func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) error {
-	if n.pktSlab.Disabled {
-		return fmt.Errorf("noc: checkpointing requires pooled packets (NoPool unset)")
-	}
 	links, linkIdx := n.linkTable()
 	pkts, pktIdx := n.collectPackets(links)
 	for _, p := range pkts {

@@ -11,8 +11,8 @@
 // objects at GC).
 //
 // Objects are addressed by a uint32 ref. Ref 0 is reserved as "no ref":
-// Alloc on a disabled slab returns ref 0 with a plain heap allocation, so
-// callers get a -nopool escape hatch for free by just carrying the ref.
+// Alloc never returns it, and Free ignores it, so objects built outside a
+// slab (a test's literal message) pass through the same recycle points.
 package pool
 
 import "fmt"
@@ -36,14 +36,6 @@ type Slab[T any] struct {
 	// free is the LIFO list of recycled refs.
 	free []uint32
 
-	// Disabled makes Alloc return plain heap allocations with ref 0 and
-	// Free/At reject nothing; the escape hatch behind the -nopool flags.
-	Disabled bool
-	// Debug additionally zeroes objects on Free, so stale pointers held
-	// past Free read zero values instead of silently observing recycled
-	// contents.
-	Debug bool
-
 	// Stats.
 	Allocs uint64 // total Alloc calls
 	Reuses uint64 // Allocs served from the free list
@@ -51,14 +43,11 @@ type Slab[T any] struct {
 }
 
 // Alloc returns an object and its ref. The object is NOT cleared when it
-// comes off the free list unless Debug zeroed it on Free — callers must
-// fully reset it (the simulator resets every field anyway to keep pooled
-// and unpooled runs byte-identical).
+// comes off the free list — callers must fully reset it (the simulator
+// resets every field, so a recycled object is indistinguishable from a
+// fresh one).
 func (s *Slab[T]) Alloc() (uint32, *T) {
 	s.Allocs++
-	if s.Disabled {
-		return 0, new(T)
-	}
 	if n := len(s.free); n > 0 {
 		ref := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -92,8 +81,8 @@ func (s *Slab[T]) At(ref uint32) *T {
 	return s.at(ref)
 }
 
-// Free recycles ref. Ref 0 (unpooled object) is a no-op, so callers can
-// free unconditionally. Freeing a ref twice panics.
+// Free recycles ref. Ref 0 (an object the slab did not allocate) is a
+// no-op, so callers can free unconditionally. Freeing a ref twice panics.
 func (s *Slab[T]) Free(ref uint32) {
 	if ref == 0 {
 		return
@@ -105,10 +94,6 @@ func (s *Slab[T]) Free(ref uint32) {
 		panic(fmt.Sprintf("pool: double free of ref %d", ref))
 	}
 	s.live[ref-1] = false
-	if s.Debug {
-		var zero T
-		*s.at(ref) = zero
-	}
 	s.free = append(s.free, ref)
 	s.Frees++
 }

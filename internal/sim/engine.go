@@ -86,10 +86,6 @@ type Engine struct {
 	ticking bool
 	tickPos int
 
-	// FastForward enables quiescence skipping. It is on by default and only
-	// disabled by tests that check strict cycle-by-cycle behaviour; when
-	// off, every component ticks every cycle.
-	FastForward bool
 	// MaxCycles aborts the run when the clock passes it (0 = unlimited).
 	MaxCycles uint64
 	stopped   bool
@@ -113,9 +109,9 @@ type Engine struct {
 	tickPool *par.Pool
 }
 
-// NewEngine returns an empty engine with fast-forward enabled.
+// NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{FastForward: true}
+	return &Engine{}
 }
 
 // handle binds a registered component index to its engine.
@@ -164,19 +160,8 @@ func (e *Engine) SetTickPool(p *par.Pool) {
 	}
 }
 
-// Wake moves component c's wake time earlier, to at (clamped so that a
-// component never re-ticks within the cycle it already ticked). It is the
-// map-based convenience form; components wired via SetWaker use their
-// handle instead.
-func (e *Engine) Wake(c Component, at uint64) {
-	for i, rc := range e.components {
-		if rc == c {
-			e.wakeIdx(i, at)
-			return
-		}
-	}
-}
-
+// wakeIdx moves component i's wake time earlier, to at (clamped so that a
+// component never re-ticks within the cycle it already ticked).
 func (e *Engine) wakeIdx(i int, at uint64) {
 	floor := e.now
 	if e.ticking && i <= e.tickPos {
@@ -253,17 +238,16 @@ func (e *Engine) RequestAbort() { e.abort.Store(true) }
 func (e *Engine) Aborted() bool { return e.abort.Load() }
 
 // Step executes exactly one cycle: every due component (plus every legacy
-// poll component; all components when FastForward is off) ticks in
-// registration order, then reports its next wake time.
+// poll component) ticks in registration order, then reports its next wake
+// time.
 func (e *Engine) Step() {
 	if e.obs != nil {
 		e.obs.EngineStep(e.now)
 	}
 	e.ticking = true
 	ticked := false
-	strict := !e.FastForward
 	for i := range e.components {
-		if !strict && !e.legacy[i] && e.wake[i] > e.now {
+		if !e.legacy[i] && e.wake[i] > e.now {
 			continue
 		}
 		e.tickPos = i
@@ -297,52 +281,50 @@ func (e *Engine) RunUntil(done func() bool) uint64 {
 		if e.abort.Load() {
 			break
 		}
-		if e.FastForward {
-			m := e.earliestWake()
-			if m > e.now && e.anyLegacy {
-				// A legacy component's stored wake time goes stale the
-				// moment a later-ticking component hands it work (nothing
-				// notifies the engine). Re-poll before trusting a jump,
-				// like the poll engine's per-cycle minimum scan did.
-				for i, c := range e.components {
-					if e.legacy[i] {
-						e.heapFix(i, c.NextWake(e.now))
-					}
-				}
-				m = e.earliestWake()
-				if m == e.now+1 {
-					// NextWake's contract is "strictly future", so a legacy
-					// component with work in the CURRENT cycle (e.g. a busy
-					// network that re-polls itself every cycle) can only
-					// answer now+1. The poll engine compensated by skipping
-					// only past now+1; execute this cycle likewise.
-					m = e.now
+		m := e.earliestWake()
+		if m > e.now && e.anyLegacy {
+			// A legacy component's stored wake time goes stale the moment a
+			// later-ticking component hands it work (nothing notifies the
+			// engine). Re-poll before trusting a jump, like the poll
+			// engine's per-cycle minimum scan did.
+			for i, c := range e.components {
+				if e.legacy[i] {
+					e.heapFix(i, c.NextWake(e.now))
 				}
 			}
-			if m > e.now {
-				if m != Never {
-					// Jump the clock to the next busy cycle; done is
-					// re-checked before it executes, mirroring the poll
-					// engine, which skipped after each executed cycle.
-					if e.obs != nil {
-						e.obs.EngineWake(m, m-e.now)
-					}
-					e.SkippedCycles += m - e.now
-					e.now = m
-					continue
-				}
-				if !e.anyLegacy {
-					// Everything is quiescent: nothing will ever happen
-					// again on its own. Advance one cycle at a time so the
-					// done predicate (which may watch the clock) still
-					// terminates the run.
-					e.now++
-					e.SkippedCycles++
-					continue
-				}
-				// Legacy poll components may have stale wake times; fall
-				// through and keep ticking them, like the poll engine did.
+			m = e.earliestWake()
+			if m == e.now+1 {
+				// NextWake's contract is "strictly future", so a legacy
+				// component with work in the CURRENT cycle (e.g. a busy
+				// network that re-polls itself every cycle) can only answer
+				// now+1. The poll engine compensated by skipping only past
+				// now+1; execute this cycle likewise.
+				m = e.now
 			}
+		}
+		if m > e.now {
+			if m != Never {
+				// Jump the clock to the next busy cycle; done is re-checked
+				// before it executes, mirroring the poll engine, which
+				// skipped after each executed cycle.
+				if e.obs != nil {
+					e.obs.EngineWake(m, m-e.now)
+				}
+				e.SkippedCycles += m - e.now
+				e.now = m
+				continue
+			}
+			if !e.anyLegacy {
+				// Everything is quiescent: nothing will ever happen again
+				// on its own. Advance one cycle at a time so the done
+				// predicate (which may watch the clock) still terminates
+				// the run.
+				e.now++
+				e.SkippedCycles++
+				continue
+			}
+			// Legacy poll components may have stale wake times; fall through
+			// and keep ticking them, like the poll engine did.
 		}
 		e.Step()
 	}

@@ -112,11 +112,16 @@ func (c *tickCounter) NextWake(now uint64) uint64 {
 	return Never
 }
 
+// everyCycle counts ticks and is due on every cycle.
+type everyCycle struct{ ticks int }
+
+func (c *everyCycle) Tick(now uint64)            { c.ticks++ }
+func (c *everyCycle) NextWake(now uint64) uint64 { return now + 1 }
+
 func TestEngineStepAndRun(t *testing.T) {
 	e := NewEngine()
-	c := &tickCounter{}
+	c := &everyCycle{}
 	e.Register(c)
-	e.FastForward = false
 	e.Run(10)
 	if c.ticks != 10 || e.Now() != 10 {
 		t.Fatalf("ticks=%d now=%d", c.ticks, e.Now())
@@ -141,9 +146,7 @@ func TestEngineFastForward(t *testing.T) {
 
 func TestEngineMaxCycles(t *testing.T) {
 	e := NewEngine()
-	c := &tickCounter{}
-	e.Register(c)
-	e.FastForward = false
+	e.Register(&everyCycle{})
 	e.MaxCycles = 50
 	e.RunUntil(func() bool { return false })
 	if e.Now() != 50 {
@@ -160,7 +163,6 @@ func TestEngineStop(t *testing.T) {
 			e.Stop()
 		}
 	}})
-	e.FastForward = false
 	e.RunUntil(func() bool { return false })
 	if !e.Stopped() || n != 5 {
 		t.Fatalf("stop failed: n=%d", n)

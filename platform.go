@@ -73,16 +73,6 @@ type Config struct {
 	// read-only, so results are bit-identical with or without it (a
 	// regression test asserts this).
 	Obs *obs.Recorder
-	// NoPool disables the deterministic object freelists (NoC packets and
-	// kernel/coherence messages): every allocation goes to the heap and
-	// recycling is a no-op. Results are byte-identical either way (a
-	// regression test asserts it); this is an escape hatch for isolating
-	// pooling bugs and for measuring the pools' effect.
-	NoPool bool
-	// PoolDebug enables the freelists' use-after-free checker: freed
-	// objects are poisoned and stale references panic instead of silently
-	// reading recycled contents. Double frees always panic.
-	PoolDebug bool
 	// Workers is the intra-simulation parallelism width: values > 1 run
 	// the NoC's tick phases on a persistent worker pool of that size
 	// (sharded compute, ordered commit). Results are byte-identical for
@@ -181,6 +171,10 @@ func (c *Config) Validate() error {
 		threads := c.Threads
 		if c.Programs != nil {
 			threads = len(c.Programs)
+			if threads > w*h {
+				return &ConfigError{Field: "Threads",
+					Reason: fmt.Sprintf("%d programs exceed the %dx%d mesh's %d nodes", threads, w, h, w*h)}
+			}
 		} else if threads == 0 {
 			threads = w * h
 		}
@@ -275,8 +269,6 @@ func New(cfg Config) (*System, error) {
 	}
 	ncfg.Width, ncfg.Height = cfg.meshDims()
 	ncfg.Priority = cfg.OCOR
-	ncfg.NoPool = cfg.NoPool
-	ncfg.PoolDebug = cfg.PoolDebug
 	net, err := noc.NewNetwork(ncfg)
 	if err != nil {
 		return nil, err
@@ -293,8 +285,6 @@ func New(cfg Config) (*System, error) {
 	} else {
 		mcfg = mem.DefaultConfig()
 	}
-	mcfg.NoPool = cfg.NoPool
-	mcfg.PoolDebug = cfg.PoolDebug
 	msys, err := mem.NewSystem(mcfg, net)
 	if err != nil {
 		return nil, err
@@ -307,8 +297,6 @@ func New(cfg Config) (*System, error) {
 	} else {
 		kcfg = kernel.DefaultConfig()
 	}
-	kcfg.NoPool = cfg.NoPool
-	kcfg.PoolDebug = cfg.PoolDebug
 	if kcfg.Protocol == "" {
 		kcfg.Protocol = cfg.Protocol
 	}
@@ -382,15 +370,7 @@ func New(cfg Config) (*System, error) {
 			case noc.PayloadKernel:
 				ksys.Deliver(now, node, ksys.MsgAt(pkt.PayloadRef))
 			default:
-				// Legacy boxed payloads (-nopool runs, custom traffic).
-				switch m := pkt.Payload.(type) {
-				case *mem.Msg:
-					msys.Deliver(now, node, m)
-				case *kernel.Msg:
-					ksys.Deliver(now, node, m)
-				default:
-					panic(fmt.Sprintf("repro: node %d unknown payload %T", node, pkt.Payload))
-				}
+				panic(fmt.Sprintf("repro: node %d: unexpected payload kind %d", node, pkt.PayloadKind))
 			}
 			net.FreePacket(pkt)
 		})

@@ -25,6 +25,7 @@ func TestPlatformConfigValidate(t *testing.T) {
 		{"half-specified mesh", Config{MeshWidth: 4}, "MeshWidth/MeshHeight"},
 		{"negative mesh", Config{MeshWidth: -4, MeshHeight: 4}, "MeshWidth/MeshHeight"},
 		{"threads exceed mesh", Config{Threads: 20, MeshWidth: 4, MeshHeight: 4}, "Threads"},
+		{"programs exceed mesh", Config{Programs: make([]cpu.Program, 20), MeshWidth: 4, MeshHeight: 4}, "Threads"},
 		{"workers exceed mesh", Config{Threads: 16, Workers: 17}, "Workers"},
 		{"threads exceed sharer set", Config{Threads: 257, MeshWidth: 17, MeshHeight: 17}, "Threads"},
 		{"one thread per node past sharer set", Config{MeshWidth: 17, MeshHeight: 17}, "Threads"},

@@ -1,60 +1,6 @@
 package repro
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/metrics"
-)
-
-// TestPoolingDoesNotPerturbResults runs with the object freelists enabled
-// and with -nopool heap allocation, across both engines and both OCOR
-// modes, and requires byte-identical results: recycling packets and
-// messages must be invisible to the simulation.
-func TestPoolingDoesNotPerturbResults(t *testing.T) {
-	for _, ocor := range []bool{false, true} {
-		for _, poll := range []bool{false, true} {
-			var got [2]metrics.Results
-			for i, nopool := range []bool{false, true} {
-				cfg := Config{Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7, NoPool: nopool}
-				r, err := newSystem(t, cfg, poll).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[i] = r
-			}
-			if !reflect.DeepEqual(got[0], got[1]) {
-				t.Fatalf("ocor=%v poll=%v: pooled results differ from -nopool:\npooled: %+v\nnopool: %+v",
-					ocor, poll, got[0], got[1])
-			}
-		}
-	}
-}
-
-// TestPoolDebugDoesNotPerturbResults runs the use-after-free checker over
-// a contended workload: poisoning freed objects must change nothing (and
-// must not trip — the platform's recycle points all sit after the last
-// touch of each object).
-func TestPoolDebugDoesNotPerturbResults(t *testing.T) {
-	var got [2]metrics.Results
-	for i, debug := range []bool{false, true} {
-		sys, err := New(Config{
-			Benchmark: detProfile(), Threads: 16, OCOR: true,
-			Seed: 7, PoolDebug: debug,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := sys.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i] = r
-	}
-	if !reflect.DeepEqual(got[0], got[1]) {
-		t.Fatalf("PoolDebug results differ:\nbare:  %+v\ndebug: %+v", got[0], got[1])
-	}
-}
+import "testing"
 
 // TestPoolsDrainAtQuiescence requires every pooled packet and message to be
 // back on its freelist once a run drains: a live object at quiescence is a

@@ -25,10 +25,8 @@ type Experiments = experiments.Options
 // forkable cell restores a snapshot of its protocol-independent prefix,
 // built once per prefix key (single-flight across concurrent callers)
 // or loaded from o.Cache. Prefix construction is best-effort: a cell
-// whose prefix cannot be built (e.g. a NoPool configuration, whose
-// in-flight payloads are unserializable), or whose cached snapshot does
-// not restore, runs cold. The returned function is safe for concurrent
-// use.
+// whose prefix cannot be built, or whose cached snapshot does not
+// restore, runs cold. The returned function is safe for concurrent use.
 func cellRunner(o experiments.RunOptions) func(experiments.Cell) (experiments.CellResult, error) {
 	type prefixEntry struct {
 		once  sync.Once
@@ -73,7 +71,7 @@ func cellRunner(o experiments.RunOptions) func(experiments.Cell) (experiments.Ce
 	return func(c experiments.Cell) (experiments.CellResult, error) {
 		cfg := Config{
 			Benchmark: c.Profile, Threads: c.Threads, OCOR: c.OCOR, PriorityLevels: c.Levels,
-			Seed: c.Seed, Protocol: c.Protocol, NoPool: c.NoPool, Workers: c.Workers,
+			Seed: c.Seed, Protocol: c.Protocol, Workers: c.Workers,
 			Trace: c.TraceThreads > 0,
 		}
 		if c.Observe {
