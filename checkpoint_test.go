@@ -2,8 +2,11 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -328,5 +331,78 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		if _, err := Restore(cfg, snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the on-disk bytes of two mid-run
+// snapshots to SHA-256 digests, so a change to what the platform
+// serializes — or to how it serializes a node that never ran a thread —
+// cannot slip past the round-trip tests, which only compare a platform
+// with itself. The second platform runs 4 threads on an 8x8 mesh: its 60
+// idle nodes never build an L1 or a lock client, and each must still
+// encode as exactly the record a freshly built one writes, or existing
+// spools and prefix caches stop loading. A deliberate format change bumps
+// checkpoint.Version and refreshes these digests.
+func TestCheckpointBytesPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		at   uint64
+		want string
+	}{
+		{"det-16t-4x4", Config{Benchmark: detProfile(), Threads: 16, OCOR: true, Seed: 7}, 7500,
+			"fb4c4a4dfb887c3279e09328b9a82d66bbb0757388f7f74129de494866e99864"},
+		{"det-4t-8x8", Config{Benchmark: detProfile(), Threads: 4, MeshWidth: 8, MeshHeight: 8, OCOR: true, Seed: 7}, 2500,
+			"3119ed60e9232de9abc109c6f62215de8ef32c3e79f45166cff8a7f8b0b1df11"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RunTo(c.at); err != nil {
+				t.Fatal(err)
+			}
+			if sys.CPU.AllDone() || sys.Kernel.Inert() {
+				t.Fatalf("cycle %d is not mid-run (done=%v, inert kernel=%v)", c.at, sys.CPU.AllDone(), sys.Kernel.Inert())
+			}
+			snap, err := sys.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "pinned.ckpt")
+			if err := snap.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != c.want {
+				t.Fatalf("checkpoint file at cycle %d: sha256 %s, want %s (%d bytes)", c.at, got, c.want, len(raw))
+			}
+
+			// The restored platform writes the same bytes and finishes
+			// like the uninterrupted run.
+			restored, err := Restore(c.cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := restored.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Data, snap.Data) {
+				t.Fatal("restored platform re-encodes to different bytes")
+			}
+			ref, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := runToJSON(t, ref), runToJSON(t, restored); !bytes.Equal(want, got) {
+				t.Fatalf("restored run diverged:\nref: %s\ngot: %s", want, got)
+			}
+		})
 	}
 }

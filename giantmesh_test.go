@@ -140,3 +140,23 @@ func TestGiantMeshSmoke64(t *testing.T) {
 		t.Fatalf("64x64 workers=4 fast-forward diverged from conservative sequential:\n%+v\n%+v", res, seqRes)
 	}
 }
+
+// BenchmarkNewGiant measures platform construction in the giant-sparse
+// regime: 16 threads on a 64x64 mesh, so 4080 of the 4096 nodes never run
+// a thread. CI's bench-smoke gate holds its B/op to
+// .github/new-bytes-threshold: construction must stay proportional to the
+// threads (their L1s, lock clients and programs) plus the NoC, and not
+// grow back per-node structures that only a thread would use.
+func BenchmarkNewGiant(b *testing.B) {
+	p, err := Benchmark("imag")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Benchmark: p, Threads: 16, MeshWidth: 64, MeshHeight: 64, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
