@@ -29,7 +29,7 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 	}
 	for _, r := range n.Routers {
 		routed, active, fc := 0, 0, 0
-		var pf, pr, pa [NumDirs]int
+		var pf [NumDirs]int
 		var mr, ma [NumDirs]uint64
 		for d := Dir(0); d < NumDirs; d++ {
 			for v := 0; v < r.cfg.VCs; v++ {
@@ -39,11 +39,9 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 				switch vc.state {
 				case vcRouted:
 					routed++
-					pr[d]++
 					mr[d] |= 1 << uint(v)
 				case vcActive:
 					active++
-					pa[d]++
 					ma[d] |= 1 << uint(v)
 				}
 			}
@@ -52,11 +50,10 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 			t.Fatalf("cycle %d router %d: routedMask %v/%v activeMask %v/%v",
 				now, r.id, mr, r.routedMask, ma, r.activeMask)
 		}
-		if routed != r.routedCount || active != r.activeCount || fc != r.flitCount ||
-			pf != r.portFlits || pr != r.portRouted || pa != r.portActive {
-			t.Fatalf("cycle %d router %d: routed %d/%d active %d/%d flits %d/%d ports %v/%v routedP %v/%v activeP %v/%v",
+		if routed != r.routedCount || active != r.activeCount || fc != r.flitCount || pf != r.portFlits {
+			t.Fatalf("cycle %d router %d: routed %d/%d active %d/%d flits %d/%d ports %v/%v",
 				now, r.id, routed, r.routedCount, active, r.activeCount, fc, r.flitCount,
-				pf, r.portFlits, pr, r.portRouted, pa, r.portActive)
+				pf, r.portFlits)
 		}
 	}
 }

@@ -137,22 +137,16 @@ type Router struct {
 	inLink  [NumDirs]*link
 	outLink [NumDirs]*link
 
-	// lpaPtr is the per-input-port round-robin pointer of the local
-	// (first-stage) arbiter.
-	lpaPtr [NumDirs]int
-
 	// flitCount is the total number of buffered flits; the router is
 	// skipped entirely when zero.
 	flitCount int
 	// portFlits counts buffered flits per input port, so allocation skips
-	// empty ports without scanning their VCs. portRouted / portActive count
-	// that port's VCs in the vcRouted / vcActive states for the same reason.
-	portFlits  [NumDirs]int
-	portRouted [NumDirs]int
-	portActive [NumDirs]int
-	// routedMask / activeMask mirror portRouted / portActive as per-port
-	// bitmasks (bit v = VC v), letting the allocators iterate exactly the
-	// VCs in the wanted state instead of testing all of them.
+	// empty ports without scanning their VCs.
+	portFlits [NumDirs]int
+	// routedMask / activeMask hold each port's VCs in the vcRouted /
+	// vcActive states as bitmasks (bit v = VC v), letting the allocators
+	// iterate exactly the VCs in the wanted state instead of testing all
+	// of them.
 	routedMask [NumDirs]uint64
 	activeMask [NumDirs]uint64
 	// routedCount / activeCount track how many input VCs sit in the
@@ -330,7 +324,6 @@ func (r *Router) commit(now uint64, fs []flitEvent, dir Dir, sh *tickShard) {
 			vc.state = vcRouted
 			vc.outDir = r.route(f.pkt.Dst)
 			r.routedCount++
-			r.portRouted[dir]++
 			r.routedMask[dir] |= 1 << uint(ev.vc)
 		}
 		vc.push(f)
@@ -545,8 +538,6 @@ func (r *Router) tryAssignVC(now uint64, op *outPort, req vaReq) bool {
 				// only genuine vcRouted->vcActive transitions are counted.
 				r.routedCount--
 				r.activeCount++
-				r.portRouted[req.dir]--
-				r.portActive[req.dir]++
 				r.routedMask[req.dir] &^= 1 << uint(req.vc)
 				r.activeMask[req.dir] |= 1 << uint(req.vc)
 			}
@@ -563,6 +554,13 @@ func (r *Router) tryAssignVC(now uint64, op *outPort, req vaReq) bool {
 // Arbiter per input port selects one candidate VC, then a per-output-port
 // global arbiter picks the winner. Winners traverse the switch immediately
 // (stage two).
+//
+// The local arbiter visits a port's ready VCs in fixed ascending index
+// order: the baseline takes the first, OCOR the highest priority key with
+// ties to the lowest index. It keeps no rotating pointer, so among equal
+// candidates the lower VC index — a request-vnet VC before a
+// response-vnet one — always wins (a known deviation from a round-robin
+// local arbiter; see EXPERIMENTS.md).
 func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 	if r.activeCount == 0 {
 		return
@@ -575,44 +573,20 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 			continue // no active VC holding a flit on this port
 		}
 		port := r.in[int(inDir)*r.vcs:]
-		if mask&(mask-1) == 0 {
-			// One active VC on this port — by far the common case. The
-			// rotated scan would visit exactly this VC once wherever the
-			// pointer stands, so test it directly.
-			v := bits.TrailingZeros64(mask)
-			vc := &port[v]
-			if vc.n != 0 && now > vc.headEnq &&
-				r.out[vc.outDir].credits[vc.outVC] > 0 {
-				cands = append(cands, saCand{dir: inDir, vc: v})
-			}
-			continue
-		}
 		best := -1
 		var bestKey uint32
-		n := r.vcs
-		p := r.lpaPtr[inDir]
-		if p >= n {
-			p %= n
-		}
-		// Bit iteration over the active VCs in rotated order: indices
-		// [p, n) first, then [0, p) — the same circular visit order as a
-		// full scan starting at the pointer.
-		lo := uint64(1)<<uint(p) - 1
-	scan:
-		for _, m := range [2]uint64{mask &^ lo, mask & lo} {
-			for ; m != 0; m &= m - 1 {
-				v := bits.TrailingZeros64(m)
-				vc := &port[v]
-				if vc.n != 0 && now > vc.headEnq && // stage-one latency
-					r.out[vc.outDir].credits[vc.outVC] > 0 { // downstream space
-					if best == -1 {
-						best, bestKey = v, vc.headKey
-						if !r.prio {
-							break scan // round-robin: first ready VC from the pointer wins
-						}
-					} else if vc.headKey > bestKey {
-						best, bestKey = v, vc.headKey
+		for m := mask; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			vc := &port[v]
+			if vc.n != 0 && now > vc.headEnq && // stage-one latency
+				r.out[vc.outDir].credits[vc.outVC] > 0 { // downstream space
+				if best == -1 {
+					best, bestKey = v, vc.headKey
+					if !r.prio {
+						break // baseline: the lowest-index ready VC wins
 					}
+				} else if vc.headKey > bestKey {
+					best, bestKey = v, vc.headKey
 				}
 			}
 		}
@@ -800,7 +774,6 @@ func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
 		}
 		vc.state = vcIdle
 		r.activeCount--
-		r.portActive[inDir]--
 		r.activeMask[inDir] &^= 1 << uint(vcIdx)
 	}
 }

@@ -212,7 +212,7 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		w.U64(rt.Stats.SAGrants)
 		w.U64(rt.Stats.SAConflicts)
 		for d := Dir(0); d < NumDirs; d++ {
-			w.Int(rt.lpaPtr[d])
+			w.Int(0) // retired local-arbiter pointer, always zero
 			op := &rt.out[d]
 			w.Int(op.vaPtr)
 			w.Int(op.saPtr)
@@ -423,7 +423,7 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		rt.Stats.SAGrants = r.U64()
 		rt.Stats.SAConflicts = r.U64()
 		for d := Dir(0); d < NumDirs; d++ {
-			rt.lpaPtr[d] = r.Int()
+			r.Int() // retired local-arbiter pointer
 			op := &rt.out[d]
 			op.vaPtr = r.Int()
 			op.saPtr = r.Int()
@@ -560,8 +560,6 @@ func (r *Router) recomputeDerived() {
 	r.activeCount = 0
 	for d := Dir(0); d < NumDirs; d++ {
 		r.portFlits[d] = 0
-		r.portRouted[d] = 0
-		r.portActive[d] = 0
 		r.routedMask[d] = 0
 		r.activeMask[d] = 0
 	}
@@ -574,11 +572,9 @@ func (r *Router) recomputeDerived() {
 		switch vc.state {
 		case vcRouted:
 			r.routedCount++
-			r.portRouted[d]++
 			r.routedMask[d] |= 1 << v
 		case vcActive:
 			r.activeCount++
-			r.portActive[d]++
 			r.activeMask[d] |= 1 << v
 		}
 	}
