@@ -20,6 +20,12 @@ const MaxSpinCount = 128
 // wakeup requests, giving 9 one-hot bits in total).
 const DefaultLockLevels = 8
 
+// MaxLockLevels is the most locking-request priority levels a policy
+// supports: Policy.Validate clamps LockLevels to it, and the platform
+// configuration rejects more, so no run is labelled with a level count it
+// did not simulate.
+const MaxLockLevels = 64
+
 // WakeupClass is the class index reserved for wakeup requests: the lowest
 // priority level ("Wakeup Request Last", rule 4 of Table 1).
 const WakeupClass = 0
@@ -131,8 +137,8 @@ func (pl Policy) Validate() Policy {
 	if pl.LockLevels < 1 {
 		pl.LockLevels = 1
 	}
-	if pl.LockLevels > 64 {
-		pl.LockLevels = 64
+	if pl.LockLevels > MaxLockLevels {
+		pl.LockLevels = MaxLockLevels
 	}
 	if pl.MaxSpin < 1 {
 		pl.MaxSpin = 1

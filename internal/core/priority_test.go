@@ -23,7 +23,7 @@ func TestPolicyValidate(t *testing.T) {
 		t.Fatalf("validate failed to normalise: %+v", p)
 	}
 	big := Policy{LockLevels: 1000}.Validate()
-	if big.LockLevels > 64 {
+	if big.LockLevels != MaxLockLevels {
 		t.Fatalf("LockLevels not clamped: %d", big.LockLevels)
 	}
 }

@@ -134,15 +134,15 @@ func (c *Config) meshDims() (w, h int) {
 
 // Validate checks the platform configuration for impossible settings —
 // negative counts, half-specified meshes, more threads or tick workers
-// than the mesh has nodes, more threads than the directory can track —
-// and delegates to the subsystem validators (noc, kernel, fault),
-// returning a typed error that names the field to fix. New calls it
-// first, so every cmd entry point reports bad flags as a clean error
-// instead of panicking or misbehaving mid-run; entry points that stream
-// output (CSV headers, JSON documents) call it directly to fail before
-// the first byte is written. Validation never mutates cfg: subsystem
-// configs are checked on copies, and default filling stays in the
-// constructors.
+// than the mesh has nodes, more threads than the directory can track,
+// more priority levels than the policy supports — and delegates to the
+// subsystem validators (noc, kernel, fault), returning a typed error that
+// names the field to fix. New calls it first, so every cmd entry point
+// reports bad flags as a clean error instead of panicking or misbehaving
+// mid-run; entry points that stream output (CSV headers, JSON documents)
+// call it directly to fail before the first byte is written. Validation
+// never mutates cfg: subsystem configs are checked on copies, and default
+// filling stays in the constructors.
 func (c *Config) Validate() error {
 	if c.Threads < 0 {
 		return &ConfigError{Field: "Threads", Reason: fmt.Sprintf("negative count %d", c.Threads)}
@@ -152,6 +152,10 @@ func (c *Config) Validate() error {
 	}
 	if c.PriorityLevels < 0 {
 		return &ConfigError{Field: "PriorityLevels", Reason: fmt.Sprintf("negative count %d", c.PriorityLevels)}
+	}
+	if c.PriorityLevels > core.MaxLockLevels {
+		return &ConfigError{Field: "PriorityLevels",
+			Reason: fmt.Sprintf("%d levels exceed the %d the priority policy supports", c.PriorityLevels, core.MaxLockLevels)}
 	}
 	if c.MeshWidth < 0 || c.MeshHeight < 0 || (c.MeshWidth > 0) != (c.MeshHeight > 0) {
 		return &ConfigError{Field: "MeshWidth/MeshHeight",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/noc"
@@ -22,6 +23,7 @@ func TestPlatformConfigValidate(t *testing.T) {
 		{"negative threads", Config{Threads: -1}, "Threads"},
 		{"negative workers", Config{Workers: -2}, "Workers"},
 		{"negative levels", Config{PriorityLevels: -8}, "PriorityLevels"},
+		{"levels past the policy bound", Config{PriorityLevels: core.MaxLockLevels + 1}, "PriorityLevels"},
 		{"half-specified mesh", Config{MeshWidth: 4}, "MeshWidth/MeshHeight"},
 		{"negative mesh", Config{MeshWidth: -4, MeshHeight: 4}, "MeshWidth/MeshHeight"},
 		{"threads exceed mesh", Config{Threads: 20, MeshWidth: 4, MeshHeight: 4}, "Threads"},
@@ -74,6 +76,7 @@ func TestPlatformConfigValidate(t *testing.T) {
 		{Threads: 256, MeshWidth: 16, MeshHeight: 16, Workers: 2},
 		{MeshWidth: 16, MeshHeight: 16},
 		{Programs: make([]cpu.Program, 16), MeshWidth: 17, MeshHeight: 17},
+		{PriorityLevels: core.MaxLockLevels},
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("valid config %+v rejected: %v", cfg, err)
