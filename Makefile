@@ -74,7 +74,8 @@ bench:
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_8.json -scaleworkers 1,2
 
-# bench-smoke is the CI performance gate: the steady-state step benchmark
+# bench-smoke is the CI performance gate: the steady-state step benchmark,
+# its evicting variant (per 50-cycle window, with L1 write-backs in it)
 # and the sequential (workers=1) NoC tick hot loop must not allocate more
 # per op than their committed thresholds, and the 8x8 tick must stay under
 # the committed ns/op ceiling (set with generous headroom over the
@@ -84,7 +85,11 @@ bench-json:
 # O(active) regime the same way: its threshold sits roughly 2x over the
 # fast-forward number but well *below* the tick-every-busy-cycle cost, so
 # losing idle-window fast-forward (or the hierarchical active sets) trips
-# it even on a noisy runner.
+# it even on a noisy runner. The construction gate holds the bytes New
+# allocates for 16 threads on a 64x64 mesh under
+# .github/new-bytes-threshold: L1s and lock clients are built only on the
+# nodes that use them, and building them on every node again would more
+# than double the figure.
 bench-smoke:
 	@$(GO) test -run '^$$' -bench '^BenchmarkSteadyStateStep$$' -benchmem -benchtime 20000x . | tee /tmp/bench-smoke.out
 	@max=$$(cat .github/alloc-threshold); \
@@ -94,6 +99,24 @@ bench-smoke:
 		echo "bench-smoke: $$allocs allocs/op exceeds threshold $$max"; exit 1; \
 	else \
 		echo "bench-smoke: $$allocs allocs/op within threshold $$max"; \
+	fi
+	@$(GO) test -run '^$$' -bench '^BenchmarkSteadyStateWindowEvicting$$' -benchmem -benchtime 2000x . | tee /tmp/bench-smoke-evict.out
+	@max=$$(cat .github/evict-alloc-threshold); \
+	allocs=$$(awk '/^BenchmarkSteadyStateWindowEvicting/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}' /tmp/bench-smoke-evict.out); \
+	if [ -z "$$allocs" ]; then echo "bench-smoke: no allocs/op in evicting output"; exit 1; fi; \
+	if [ "$$allocs" -gt "$$max" ]; then \
+		echo "bench-smoke: evicting $$allocs allocs per window exceeds threshold $$max"; exit 1; \
+	else \
+		echo "bench-smoke: evicting $$allocs allocs per window within threshold $$max"; \
+	fi
+	@$(GO) test -run '^$$' -bench '^BenchmarkNewGiant$$' -benchmem -benchtime 10x . | tee /tmp/bench-smoke-new.out
+	@max=$$(cat .github/new-bytes-threshold); \
+	bytes=$$(awk '/^BenchmarkNewGiant/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}' /tmp/bench-smoke-new.out); \
+	if [ -z "$$bytes" ]; then echo "bench-smoke: no B/op in construction output"; exit 1; fi; \
+	if [ "$$bytes" -gt "$$max" ]; then \
+		echo "bench-smoke: New on 64x64 allocates $$bytes B, over threshold $$max (per-node construction back?)"; exit 1; \
+	else \
+		echo "bench-smoke: New on 64x64 allocates $$bytes B, within threshold $$max"; \
 	fi
 	@$(GO) test -run '^$$' -bench '^BenchmarkNetworkTick/mesh=8x8/workers=1$$' -benchmem -benchtime 20000x ./internal/noc/ | tee /tmp/bench-smoke-tick.out
 	@max=$$(cat .github/tick-alloc-threshold); \

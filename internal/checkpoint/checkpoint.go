@@ -13,6 +13,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -188,6 +189,11 @@ func (w *Writer) U64s(vs []uint64) {
 // Len writes a slice/map length (uint32).
 func (w *Writer) Len(n int) { w.U32(uint32(n)) }
 
+// Raw appends b verbatim. b must be a record encoded by a Writer, such as
+// a fresh component's record encoded once and repeated for every
+// component that was never built.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // ---------------------------------------------------------------- reader --
 
 // Reader decodes a snapshot payload. Errors are sticky: after the first
@@ -354,3 +360,19 @@ func (r *Reader) U64s() []uint64 {
 
 // Len reads a slice/map length written by Writer.Len.
 func (r *Reader) Len() int { return int(r.U32()) }
+
+// Consume reads past b and reports true when the unread payload starts
+// with b; otherwise it reads nothing and reports false. With b a complete
+// record, a match means the next record is exactly b, which lets a decoder
+// recognise a fresh component's record without building the component.
+func (r *Reader) Consume(b []byte) bool {
+	end := len(r.data)
+	if r.secEnd >= 0 {
+		end = r.secEnd
+	}
+	if r.err != nil || end-r.off < len(b) || !bytes.Equal(r.data[r.off:r.off+len(b)], b) {
+		return false
+	}
+	r.off += len(b)
+	return true
+}

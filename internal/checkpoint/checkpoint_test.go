@@ -157,6 +157,52 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRawConsume covers the fresh-record shortcut: a record written once
+// and repeated with Raw reads back through Consume, a differing record is
+// left unread for the full decoder, and Consume never reads past the open
+// section or fails the reader.
+func TestRawConsume(t *testing.T) {
+	rec := NewWriter()
+	rec.U64(0)
+	rec.Int(-1)
+	rec.Len(0)
+	fresh := rec.Snapshot().Data
+
+	w := NewWriter()
+	w.Begin("s")
+	w.Raw(fresh)
+	w.U64(7) // a used record: differs in its first field
+	w.Int(-1)
+	w.Len(0)
+	w.Raw(fresh[:len(fresh)-1]) // a truncated copy ends the section
+	w.End()
+
+	r := NewReader(w.Snapshot())
+	r.Begin("s")
+	if !r.Consume(fresh) {
+		t.Fatal("Consume missed a Raw-written record")
+	}
+	if r.Consume(fresh) {
+		t.Fatal("Consume matched a differing record")
+	}
+	if v, n, l := r.U64(), r.Int(), r.Len(); v != 7 || n != -1 || l != 0 {
+		t.Fatalf("record after a failed Consume read back as %d %d %d", v, n, l)
+	}
+	if r.Consume(fresh) {
+		t.Fatal("Consume matched past the end of the section")
+	}
+	if r.Err() != nil {
+		t.Fatalf("a failed Consume set an error: %v", r.Err())
+	}
+	for i := 0; i < len(fresh)-1; i++ {
+		r.U8()
+	}
+	r.End()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+}
+
 // BenchmarkCodec measures raw encode+decode throughput of the scalar
 // paths (the per-field cost every subsystem snapshot pays).
 func BenchmarkCodec(b *testing.B) {

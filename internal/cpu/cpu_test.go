@@ -133,8 +133,8 @@ func TestMemoryThread(t *testing.T) {
 	if th.Stats.MemOps != 3 {
 		t.Fatalf("mem ops = %d", th.Stats.MemOps)
 	}
-	if h.ms.L1s[0].State(0x1000) != mem.Modified {
-		t.Fatalf("block not modified: %s", h.ms.L1s[0].State(0x1000))
+	if h.ms.L1(0).State(0x1000) != mem.Modified {
+		t.Fatalf("block not modified: %s", h.ms.L1(0).State(0x1000))
 	}
 }
 
@@ -185,7 +185,7 @@ func TestTwoThreadsExclusion(t *testing.T) {
 	// the canonical lost-update test.
 	var version uint64
 	for n := 0; n < 4; n++ {
-		if v := h.ms.L1s[n].Version(0x9000); v > version {
+		if v := h.ms.L1(n).Version(0x9000); v > version {
 			version = v
 		}
 	}

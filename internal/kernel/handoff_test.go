@@ -264,7 +264,7 @@ func TestWakeupLastEndToEnd(t *testing.T) {
 	e.RunUntil(func() bool { return got0 })
 	// Thread 1 exhausts its spin budget and sleeps.
 	ks.Lock(e.Now(), 1, lock, nil)
-	e.RunUntil(func() bool { return ks.Clients[1].State() == StateSleeping })
+	e.RunUntil(func() bool { return ks.client(1).State() == StateSleeping })
 	// Thread 2 arrives and is still spinning when thread 0 releases
 	// (budget 4 x 40-cycle intervals = a 160-cycle window).
 	got2 := false
@@ -278,7 +278,7 @@ func TestWakeupLastEndToEnd(t *testing.T) {
 	if !got2 {
 		t.Fatal("spinner did not win the release race")
 	}
-	if ks.Clients[2].SleepAcquires != 0 {
+	if ks.client(2).SleepAcquires != 0 {
 		t.Fatal("spinner was forced through the sleep path")
 	}
 }

@@ -1,8 +1,11 @@
 package kernel
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -86,8 +89,8 @@ func TestUncontendedLock(t *testing.T) {
 		held, _ := h.ks.Controllers[LockHome(7, 16)].Held(7)
 		return !held && h.ks.Pending() == 0 && !h.net.Busy()
 	})
-	if h.ks.Clients[0].Prog() != 1 {
-		t.Fatalf("prog = %d, want 1", h.ks.Clients[0].Prog())
+	if h.ks.client(0).Prog() != 1 {
+		t.Fatalf("prog = %d, want 1", h.ks.client(0).Prog())
 	}
 }
 
@@ -139,7 +142,7 @@ func TestSleepAndWake(t *testing.T) {
 	acquired1 := false
 	h.ks.Lock(h.e.Now(), 1, lock, func(now uint64) { acquired1 = true })
 	// Wait until thread 1 is asleep.
-	h.run(t, 100000, func() bool { return h.ks.Clients[1].State() == StateSleeping })
+	h.run(t, 100000, func() bool { return h.ks.client(1).State() == StateSleeping })
 	if h.ks.Controllers[LockHome(lock, 16)].Sleepers(lock) != 1 {
 		t.Fatal("thread 1 not in wait queue")
 	}
@@ -209,7 +212,7 @@ func TestProgressCounting(t *testing.T) {
 	}
 	lockLoop(0)
 	h.run(t, 1000000, func() bool { return done == 1 })
-	if p := h.ks.Clients[2].Prog(); p != 5 {
+	if p := h.ks.client(2).Prog(); p != 5 {
 		t.Fatalf("prog = %d, want 5", p)
 	}
 }
@@ -244,7 +247,7 @@ func TestImmediateWakeOnFreeLock(t *testing.T) {
 	// Let thread 1 burn its spin budget and send FUTEX_WAIT, releasing
 	// just before it arrives.
 	h.run(t, 100000, func() bool {
-		return h.ks.Clients[1].State() == StateSleepPrep || h.ks.Clients[1].State() == StateSleeping
+		return h.ks.client(1).State() == StateSleepPrep || h.ks.client(1).State() == StateSleeping
 	})
 	h.ks.Unlock(h.e.Now(), 0)
 	h.run(t, 1000000, func() bool { return acq1 })
@@ -270,8 +273,10 @@ func TestManyThreadsOneLockAllComplete(t *testing.T) {
 		h.run(t, 10000000, func() bool { return completions == 16 })
 		// Progress must be recorded for every thread.
 		total := 0
-		for _, c := range h.ks.Clients {
-			total += c.Prog()
+		for _, c := range h.ks.clients {
+			if c != nil {
+				total += c.Prog()
+			}
 		}
 		if total != 16 {
 			t.Fatalf("ocor=%v total prog = %d, want 16", ocor, total)
@@ -303,7 +308,7 @@ func TestStatsAccumulation(t *testing.T) {
 	if ctl.Stats.TryLocks != 1 || ctl.Stats.Grants != 1 {
 		t.Fatalf("controller stats: %+v", ctl.Stats)
 	}
-	if h.ks.Clients[0].Acquisitions != 1 || h.ks.Clients[0].SpinAcquires != 1 {
+	if h.ks.client(0).Acquisitions != 1 || h.ks.client(0).SpinAcquires != 1 {
 		t.Fatal("client stats not updated")
 	}
 }
@@ -374,5 +379,44 @@ func TestLockStats(t *testing.T) {
 	}
 	if st[0].Home != LockHome(4, 16) {
 		t.Fatalf("home = %d", st[0].Home)
+	}
+}
+
+// TestRestoreBuildsOnlyUsedClients checks the checkpoint side of building
+// lock clients on first use: a snapshot writes a never-used client as a
+// fresh one's record, and a restore builds only the clients whose records
+// differ, so the round trip leaves unused nodes without a client and
+// re-encodes to the same bytes.
+func TestRestoreBuildsOnlyUsedClients(t *testing.T) {
+	h := newHarness(t, 4, 4, true)
+	acquired := false
+	h.ks.Lock(0, 5, 7, func(uint64) { acquired = true })
+	h.run(t, 10000, func() bool { return acquired })
+	h.ks.Unlock(h.e.Now(), 5)
+	h.run(t, 10000, func() bool { return !h.net.Busy() && h.ks.Pending() == 0 })
+	encode := func(s *System) []byte {
+		w := checkpoint.NewWriter()
+		if err := s.SnapshotTo(w); err != nil {
+			t.Fatal(err)
+		}
+		return w.Snapshot().Data
+	}
+	data := encode(h.ks)
+	fresh := newHarness(t, 4, 4, true)
+	snap := &checkpoint.Snapshot{Version: checkpoint.Version, Data: data}
+	if err := fresh.ks.RestoreFrom(checkpoint.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	var built []int
+	for n, c := range fresh.ks.clients {
+		if c != nil {
+			built = append(built, n)
+		}
+	}
+	if !reflect.DeepEqual(built, []int{5}) {
+		t.Fatalf("restore built clients on nodes %v, want [5]", built)
+	}
+	if !bytes.Equal(encode(fresh.ks), data) {
+		t.Fatal("restored kernel re-encodes to different bytes")
 	}
 }

@@ -108,8 +108,10 @@ func TestProtocolsCompleteContendedWorkload(t *testing.T) {
 					t.Fatalf("System.Protocol() = %q, want %q", got, name)
 				}
 				var acq uint64
-				for _, c := range ks.Clients {
-					acq += c.Acquisitions
+				for _, c := range ks.clients {
+					if c != nil {
+						acq += c.Acquisitions
+					}
 				}
 				if acq != total {
 					t.Fatalf("client acquisitions = %d, want %d", acq, total)

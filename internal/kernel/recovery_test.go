@@ -68,7 +68,7 @@ func sleepThenDropWake(t *testing.T, h *harness) *bool {
 	h.run(t, 10000, func() bool { return acq0 })
 	acq1 := new(bool)
 	h.ks.Lock(h.e.Now(), 1, lock, func(uint64) { *acq1 = true })
-	h.run(t, 100000, func() bool { return h.ks.Clients[1].State() == StateSleeping })
+	h.run(t, 100000, func() bool { return h.ks.client(1).State() == StateSleeping })
 	if h.ks.Controllers[LockHome(lock, 16)].Sleepers(lock) != 1 {
 		t.Fatal("thread 1 not in wait queue")
 	}
@@ -96,7 +96,7 @@ func TestWakeLossDeadlocksWithoutRecovery(t *testing.T) {
 		if *acq1 {
 			t.Fatalf("ocor=%v: thread 1 acquired despite the lost wakeup and no recovery", ocor)
 		}
-		if st := h.ks.Clients[1].State(); st != StateSleeping {
+		if st := h.ks.client(1).State(); st != StateSleeping {
 			t.Fatalf("ocor=%v: thread 1 in state %s, want sleeping", ocor, st)
 		}
 		if got := inj.Stats.DroppedWakes.Load(); got != 1 {

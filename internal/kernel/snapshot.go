@@ -27,10 +27,10 @@ func timerTag(kind, node int) uint32 { return uint32(kind) | uint32(node)<<8 }
 // bound callback (the DelayQueue.RestoreActions resolver).
 func (s *System) resolveTimer(tag uint32, _, _ uint64) (func(uint64), func(now, a, b uint64)) {
 	node := int(tag >> 8)
-	if node >= len(s.Clients) {
+	if node >= len(s.clients) {
 		return nil, nil
 	}
-	c := s.Clients[node]
+	c := s.client(node)
 	switch tag & 0xff {
 	case tagSpinTick:
 		return nil, c.spinFn
@@ -52,8 +52,10 @@ func (s *System) resolveTimer(tag uint32, _, _ uint64) (func(uint64), func(now, 
 // of the lock protocol under test.
 func (s *System) TotalLockCalls() uint64 {
 	var n uint64
-	for _, c := range s.Clients {
-		n += c.LockCalls
+	for _, c := range s.clients {
+		if c != nil {
+			n += c.LockCalls
+		}
 	}
 	return n
 }
@@ -104,8 +106,9 @@ func (s *System) LoadMsg(r *checkpoint.Reader) uint32 {
 }
 
 // SnapshotTo writes the kernel's complete dynamic state: the timer queue
-// (as tagged actions), every client's acquisition state and every
-// controller's lock table.
+// (as tagged actions), every client's acquisition state (a node that never
+// built its client as a fresh client's record) and every controller's
+// lock table.
 func (s *System) SnapshotTo(w *checkpoint.Writer) error {
 	seq, actions, err := s.delay.SaveActions()
 	if err != nil {
@@ -122,9 +125,13 @@ func (s *System) SnapshotTo(w *checkpoint.Writer) error {
 		w.U64(a.A)
 		w.U64(a.B)
 	}
-	w.Len(len(s.Clients))
-	for _, c := range s.Clients {
-		c.snapshotTo(w)
+	w.Len(len(s.clients))
+	for _, c := range s.clients {
+		if c == nil {
+			w.Raw(s.freshClientRecord())
+		} else {
+			c.snapshotTo(w)
+		}
 	}
 	w.Len(len(s.Controllers))
 	for _, c := range s.Controllers {
@@ -135,7 +142,8 @@ func (s *System) SnapshotTo(w *checkpoint.Writer) error {
 }
 
 // RestoreFrom overwrites a freshly constructed system's dynamic state
-// with a snapshot written by SnapshotTo under the same configuration.
+// with a snapshot written by SnapshotTo under the same configuration,
+// building only the clients whose records differ from a fresh one's.
 // In-progress acquisitions come back without their completion
 // continuation; the platform rebinds those via PendingAcquisitions /
 // RebindLockContinuation before resuming.
@@ -153,11 +161,14 @@ func (s *System) RestoreFrom(r *checkpoint.Reader) error {
 		})
 	}
 	nc := r.Len()
-	if r.Err() == nil && nc != len(s.Clients) {
-		return fmt.Errorf("kernel: snapshot has %d clients, system %d", nc, len(s.Clients))
+	if r.Err() == nil && nc != len(s.clients) {
+		return fmt.Errorf("kernel: snapshot has %d clients, system %d", nc, len(s.clients))
 	}
-	for _, c := range s.Clients {
-		c.restoreFrom(r)
+	for node, c := range s.clients {
+		if c == nil && r.Consume(s.freshClientRecord()) {
+			continue // never used: the node stays without a client
+		}
+		s.client(node).restoreFrom(r)
 	}
 	nctl := r.Len()
 	if r.Err() == nil && nctl != len(s.Controllers) {
@@ -173,12 +184,26 @@ func (s *System) RestoreFrom(r *checkpoint.Reader) error {
 	return s.delay.RestoreActions(seq, saved, s.resolveTimer)
 }
 
+// freshClientRecord returns the checkpoint record of a never-used client,
+// encoded once from a freshly built one. An unbuilt client is written as
+// exactly these bytes, and a restore builds a client only for a record
+// that differs, so snapshot bytes do not depend on which nodes built
+// their client.
+func (s *System) freshClientRecord() []byte {
+	if s.freshClient == nil {
+		w := checkpoint.NewWriter()
+		newClient(&s.Cfg, 0, len(s.clients), s.proto.NewWaitPolicy(), nil, s.CumHeld, &s.delay).snapshotTo(w)
+		s.freshClient = w.Snapshot().Data
+	}
+	return s.freshClient
+}
+
 // PendingAcquisitions returns the threads whose restored in-progress
 // acquisition had a completion continuation that must be rebound.
 func (s *System) PendingAcquisitions() []int {
 	var out []int
-	for _, c := range s.Clients {
-		if c.cur != nil && c.cur.needsCb {
+	for _, c := range s.clients {
+		if c != nil && c.cur != nil && c.cur.needsCb {
 			out = append(out, c.node)
 		}
 	}
@@ -188,8 +213,8 @@ func (s *System) PendingAcquisitions() []int {
 // RebindLockContinuation installs cb as thread's pending acquisition
 // continuation (runs when the restored acquisition is granted).
 func (s *System) RebindLockContinuation(thread int, cb func(now uint64)) {
-	c := s.Clients[thread]
-	if c.cur == nil {
+	c := s.clients[thread]
+	if c == nil || c.cur == nil {
 		panic(fmt.Sprintf("kernel: rebind on thread %d with no acquisition", thread))
 	}
 	c.cur.cb = cb

@@ -14,18 +14,28 @@ import (
 )
 
 // System wires one lock Client per node (thread i on node i) and one lock
-// Controller per node (owning the locks homed there) over the NoC. It
-// implements sim.Component for its internal timers (spin intervals, sleep
-// preparation, wake-up).
+// Controller per node (owning the locks homed there) over the NoC. A
+// node's client is built on its first lock call or delivery, so a node
+// that never runs a thread costs no client. It implements sim.Component
+// for its internal timers (spin intervals, sleep preparation, wake-up).
 type System struct {
 	Cfg Config
 	Net *noc.Network
 
-	Clients     []*Client
+	// clients holds every node's lock client; nil until the node's first
+	// use (see client).
+	clients     []*Client
 	Controllers []*Controller
 
 	// proto is the configured lock protocol (Cfg.Protocol resolved).
 	proto protocol.Protocol
+	// listener and obs are what SetListener and SetObserver installed;
+	// a client built later starts with them.
+	listener Listener
+	obs      *obs.Recorder
+	// freshClient caches the checkpoint record of a never-used client
+	// (see freshClientRecord).
+	freshClient []byte
 
 	delay sim.DelayQueue
 	// msgs recycles protocol messages: sendMsg draws a slot, the carrying
@@ -53,16 +63,36 @@ func NewSystem(cfg Config, net *noc.Network) (*System, error) {
 	}
 	s.proto = proto
 	nodes := net.Cfg.Nodes()
-	s.Clients = make([]*Client, nodes)
+	s.clients = make([]*Client, nodes)
 	s.Controllers = make([]*Controller, nodes)
 	for i := 0; i < nodes; i++ {
 		node := i
 		ctlSend := func(now uint64, dst int, m Msg) { s.sendMsg(now, node, dst, m, core.Normal) }
 		s.Controllers[i] = newController(node, proto, ctlSend)
-		cliSend := func(now uint64, dst int, m Msg, prio core.Priority) { s.sendMsg(now, node, dst, m, prio) }
-		s.Clients[i] = newClient(&s.Cfg, node, nodes, proto.NewWaitPolicy(), cliSend, s.CumHeld, &s.delay)
 	}
 	return s, nil
+}
+
+// client returns node's lock client, building it on first use with the
+// system's current listener and observer. Building one has no side effect
+// on the simulation, so a client that exists only because it was asked
+// for behaves, and checkpoints, exactly like one never built.
+func (s *System) client(node int) *Client {
+	if c := s.clients[node]; c != nil {
+		return c
+	}
+	return s.buildClient(node)
+}
+
+// buildClient builds node's client. It is kept out of client so that
+// client's check inlines into every lock call and delivery.
+func (s *System) buildClient(node int) *Client {
+	send := func(now uint64, dst int, m Msg, prio core.Priority) { s.sendMsg(now, node, dst, m, prio) }
+	c := newClient(&s.Cfg, node, len(s.clients), s.proto.NewWaitPolicy(), send, s.CumHeld, &s.delay)
+	c.SetListener(s.listener)
+	c.obs = s.obs
+	s.clients[node] = c
+	return c
 }
 
 // Protocol returns the name of the configured lock protocol.
@@ -151,7 +181,7 @@ func (s *System) Deliver(now uint64, node int, m *Msg) {
 	case ToController:
 		s.Controllers[node].Deliver(now, m)
 	case ToClient:
-		s.Clients[node].Deliver(now, m)
+		s.client(node).Deliver(now, m)
 	}
 	s.msgs.Free(m.ref)
 }
@@ -164,27 +194,33 @@ func (s *System) CumHeld(lock int, now uint64) uint64 {
 
 // Lock acquires lock on behalf of thread (== node); cb runs at acquisition.
 func (s *System) Lock(now uint64, thread, lock int, cb func(now uint64)) {
-	s.Clients[thread].Lock(now, lock, cb)
+	s.client(thread).Lock(now, lock, cb)
 }
 
 // Unlock releases the lock currently held by thread.
 func (s *System) Unlock(now uint64, thread int) {
-	s.Clients[thread].Unlock(now)
+	s.client(thread).Unlock(now)
 }
 
-// SetListener installs l on every client.
+// SetListener installs l on every client, including ones built later.
 func (s *System) SetListener(l Listener) {
-	for _, c := range s.Clients {
-		c.SetListener(l)
+	s.listener = l
+	for _, c := range s.clients {
+		if c != nil {
+			c.SetListener(l)
+		}
 	}
 }
 
-// SetObserver attaches a structured-event recorder to every client and
-// controller (nil detaches). Emission is read-only: results are identical
-// with or without it.
+// SetObserver attaches a structured-event recorder to every client,
+// including ones built later, and every controller (nil detaches).
+// Emission is read-only: results are identical with or without it.
 func (s *System) SetObserver(r *obs.Recorder) {
-	for _, c := range s.Clients {
-		c.obs = r
+	s.obs = r
+	for _, c := range s.clients {
+		if c != nil {
+			c.obs = r
+		}
 	}
 	for _, c := range s.Controllers {
 		c.obs = r
@@ -210,8 +246,8 @@ func (s *System) SetWaker(w sim.Waker) { s.delay.SetNotify(w.Wake) }
 // Pending reports in-flight lock operations (for quiescence checks).
 func (s *System) Pending() int {
 	n := s.delay.Len()
-	for _, c := range s.Clients {
-		if c.Busy() {
+	for _, c := range s.clients {
+		if c != nil && c.Busy() {
 			n++
 		}
 	}
@@ -244,7 +280,10 @@ type RecoveryStats struct {
 // RecoveryStats sums the recovery counters of the whole system.
 func (s *System) RecoveryStats() RecoveryStats {
 	var r RecoveryStats
-	for _, c := range s.Clients {
+	for _, c := range s.clients {
+		if c == nil {
+			continue
+		}
 		r.ReqTimeouts += c.ReqTimeouts
 		r.SleepRechecks += c.SleepRechecks
 		r.DupGrants += c.DupGrants
@@ -273,8 +312,8 @@ type BlockedThread struct {
 // state for more than budget cycles as of now.
 func (s *System) BlockedThreads(now, budget uint64) []BlockedThread {
 	var out []BlockedThread
-	for _, c := range s.Clients {
-		if c.cur == nil || now-c.stateSince <= budget {
+	for _, c := range s.clients {
+		if c == nil || c.cur == nil || now-c.stateSince <= budget {
 			continue
 		}
 		out = append(out, BlockedThread{

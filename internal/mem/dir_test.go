@@ -338,7 +338,7 @@ func TestL2EvictedBlockRefetchesFromDram(t *testing.T) {
 	if *done == 0 {
 		t.Fatal("refetch never completed")
 	}
-	if v := h.mem.L1s[1].Version(target); v != 1 {
+	if v := h.mem.L1(1).Version(target); v != 1 {
 		t.Fatalf("version after spill = %d, want 1", v)
 	}
 }

@@ -106,6 +106,10 @@ type L1 struct {
 	// capacity), so the steady state allocates none.
 	mshrFree []*mshr
 	wb       map[uint64]*wbEntry
+	// wbFree recycles acknowledged write-back entries the same way, so an
+	// eviction allocates nothing once the freelist has grown to the most
+	// write-backs this L1 had in flight at once.
+	wbFree []*wbEntry
 	// stalled holds ops waiting for a free MSHR or victim way.
 	stalled []op
 
@@ -150,6 +154,27 @@ func (l *L1) freeMSHR(m *mshr) {
 	}
 	*m = mshr{waiters: m.waiters[:0], deferred: m.deferred[:0]}
 	l.mshrFree = append(l.mshrFree, m)
+}
+
+// allocWB draws a reset write-back entry from the freelist (or the heap
+// when empty).
+func (l *L1) allocWB() *wbEntry {
+	if n := len(l.wbFree); n > 0 {
+		e := l.wbFree[n-1]
+		l.wbFree = l.wbFree[:n-1]
+		return e
+	}
+	return &wbEntry{}
+}
+
+// freeWB resets e (dropping retained callbacks, keeping slice capacity)
+// and returns it to the freelist.
+func (l *L1) freeWB(e *wbEntry) {
+	for i := range e.waiters {
+		e.waiters[i] = op{}
+	}
+	*e = wbEntry{waiters: e.waiters[:0]}
+	l.wbFree = append(l.wbFree, e)
 }
 
 func (l *L1) setIndex(addr uint64) int {
@@ -352,7 +377,9 @@ func (l *L1) evict(now uint64, ln *line) {
 	default:
 		panic(fmt.Sprintf("mem: evicting line in state %s", ln.state))
 	}
-	l.wb[addr] = &wbEntry{state: ln.state, version: ln.version}
+	e := l.allocWB()
+	e.state, e.version = ln.state, ln.version
+	l.wb[addr] = e
 	l.send(now, l.home(addr), Msg{Type: t, To: ToDir, Addr: addr, From: l.node, Version: ln.version, Dirty: ln.state == Modified || ln.state == Owned})
 }
 
@@ -555,5 +582,6 @@ func (l *L1) onPutAck(now uint64, m *Msg) {
 		def := o
 		l.delay.ScheduleTagged(now+1, memTag(memTagAccess, l.node), def.addr, opFlags(def), func(t uint64) { l.access(t, def) })
 	}
+	l.freeWB(e)
 	l.replayStalled(now)
 }

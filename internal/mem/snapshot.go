@@ -89,8 +89,9 @@ func (s *System) internMsg(r *checkpoint.Reader) *Msg {
 
 // SnapshotTo writes the memory hierarchy's complete dynamic state: the
 // pipeline timer queue (as tagged actions), every L1's lines/MSHRs/
-// write-backs, every directory entry with its transaction and queued
-// messages, and every memory controller's banks and backing store.
+// write-backs (a node that never built its L1 as a fresh L1's record),
+// every directory entry with its transaction and queued messages, and
+// every memory controller's banks and backing store.
 func (s *System) SnapshotTo(w *checkpoint.Writer) error {
 	seq, actions, err := s.delay.SaveActions()
 	if err != nil {
@@ -106,9 +107,13 @@ func (s *System) SnapshotTo(w *checkpoint.Writer) error {
 		w.U64(a.A)
 		w.U64(a.B)
 	}
-	w.Len(len(s.L1s))
-	for _, l := range s.L1s {
-		l.snapshotTo(w)
+	w.Len(len(s.l1s))
+	for _, l := range s.l1s {
+		if l == nil {
+			w.Raw(s.freshL1Record())
+		} else {
+			l.snapshotTo(w)
+		}
 	}
 	w.Len(len(s.Dirs))
 	for _, d := range s.Dirs {
@@ -122,10 +127,11 @@ func (s *System) SnapshotTo(w *checkpoint.Writer) error {
 	return nil
 }
 
-// RestoreFrom overwrites a freshly constructed system's dynamic state.
-// contFor resolves the canonical completion continuation of a node's
-// thread (every op callback on the platform path); directory-held and
-// in-flight messages are re-interned into the fresh message slab.
+// RestoreFrom overwrites a freshly constructed system's dynamic state,
+// building only the L1s whose records differ from a fresh one's. contFor
+// resolves the canonical completion continuation of a node's thread
+// (every op callback on the platform path); directory-held and in-flight
+// messages are re-interned into the fresh message slab.
 func (s *System) RestoreFrom(r *checkpoint.Reader, contFor func(node int) func(now uint64)) error {
 	r.Begin("mem")
 	seq := r.U64()
@@ -137,11 +143,14 @@ func (s *System) RestoreFrom(r *checkpoint.Reader, contFor func(node int) func(n
 		})
 	}
 	nl := r.Len()
-	if r.Err() == nil && nl != len(s.L1s) {
-		return fmt.Errorf("mem: snapshot has %d L1s, system %d", nl, len(s.L1s))
+	if r.Err() == nil && nl != len(s.l1s) {
+		return fmt.Errorf("mem: snapshot has %d L1s, system %d", nl, len(s.l1s))
 	}
-	for _, l := range s.L1s {
-		l.restoreFrom(r, contFor)
+	for node, l := range s.l1s {
+		if l == nil && r.Consume(s.freshL1Record()) {
+			continue // never used: the node stays without an L1
+		}
+		s.L1(node).restoreFrom(r, contFor)
 	}
 	nd := r.Len()
 	if r.Err() == nil && nd != len(s.Dirs) {
@@ -164,25 +173,38 @@ func (s *System) RestoreFrom(r *checkpoint.Reader, contFor func(node int) func(n
 	return s.delay.RestoreActions(seq, saved, s.timerResolver(contFor))
 }
 
+// freshL1Record returns the checkpoint record of a never-used L1, encoded
+// once from a freshly built one. An unbuilt L1 is written as exactly these
+// bytes, and a restore builds an L1 only for a record that differs, so
+// snapshot bytes do not depend on which nodes built their L1.
+func (s *System) freshL1Record() []byte {
+	if s.freshL1 == nil {
+		w := checkpoint.NewWriter()
+		newL1(&s.Cfg, 0, len(s.l1s), nil, &s.delay).snapshotTo(w)
+		s.freshL1 = w.Snapshot().Data
+	}
+	return s.freshL1
+}
+
 // timerResolver rebinds saved delay-queue actions to live callbacks.
 func (s *System) timerResolver(contFor func(node int) func(now uint64)) func(tag uint32, a, b uint64) (func(uint64), func(now, a, b uint64)) {
 	return func(tag uint32, _, _ uint64) (func(uint64), func(now, a, b uint64)) {
 		node := int(tag >> 8)
-		if node >= len(s.L1s) {
+		if node >= len(s.l1s) {
 			return nil, nil
 		}
 		switch tag & 0xff {
 		case memTagCont:
 			return contFor(node), nil
 		case memTagTryComplete:
-			l := s.L1s[node]
+			l := s.L1(node)
 			return nil, func(t, addr, _ uint64) {
 				if ms, ok := l.mshrs[addr]; ok {
 					l.tryComplete(t, ms)
 				}
 			}
 		case memTagAccess:
-			l := s.L1s[node]
+			l := s.L1(node)
 			return nil, func(t, addr, flags uint64) {
 				var cb func(now uint64)
 				if flags&2 != 0 {
@@ -335,7 +357,8 @@ func (l *L1) restoreFrom(r *checkpoint.Reader, contFor func(node int) func(now u
 	n = r.Len()
 	for i := 0; i < n; i++ {
 		addr := r.U64()
-		e := &wbEntry{state: LineState(r.U8()), version: r.U64()}
+		e := l.allocWB()
+		e.state, e.version = LineState(r.U8()), r.U64()
 		nw := r.Len()
 		for j := 0; j < nw; j++ {
 			e.waiters = append(e.waiters, loadOp(r, cont))

@@ -10,14 +10,17 @@ import (
 
 // System wires the full memory hierarchy over a NoC: one L1 and one
 // directory/L2 bank per node, plus memory controllers at the configured
-// nodes. It implements sim.Component (for its internal pipelines); protocol
-// messages arrive through Deliver, typically dispatched from the node's NI
-// sink by the platform layer.
+// nodes. A node's L1 is built on its first access or delivery, so a node
+// that never runs a thread costs no cache (see L1). It implements
+// sim.Component (for its internal pipelines); protocol messages arrive
+// through Deliver, typically dispatched from the node's NI sink by the
+// platform layer.
 type System struct {
 	Cfg Config
 	Net *noc.Network
 
-	L1s  []*L1
+	// l1s holds every node's L1; nil until the node's first use.
+	l1s  []*L1
 	Dirs []*Directory
 	MCs  map[int]*MC
 
@@ -28,6 +31,9 @@ type System struct {
 	// directory retains delivered messages and frees them itself at its
 	// consumption points).
 	msgs pool.Slab[Msg]
+	// freshL1 caches the checkpoint record of a never-used L1 (see
+	// freshL1Record).
+	freshL1 []byte
 }
 
 // NewSystem builds the hierarchy on top of net.
@@ -45,12 +51,11 @@ func NewSystem(cfg Config, net *noc.Network) (*System, error) {
 		}
 	}
 	s := &System{Cfg: cfg, Net: net, MCs: make(map[int]*MC)}
-	s.L1s = make([]*L1, nodes)
+	s.l1s = make([]*L1, nodes)
 	s.Dirs = make([]*Directory, nodes)
 	for i := 0; i < nodes; i++ {
 		node := i
 		send := func(now uint64, dst int, m Msg) { s.sendMsg(now, node, dst, m) }
-		s.L1s[i] = newL1(&s.Cfg, node, nodes, send, &s.delay)
 		s.Dirs[i] = newDirectory(&s.Cfg, node, nodes, s.Cfg.MCNodes, send, s.freeMsg, &s.delay)
 	}
 	for _, n := range cfg.MCNodes {
@@ -59,6 +64,25 @@ func NewSystem(cfg Config, net *noc.Network) (*System, error) {
 		s.MCs[n] = newMC(&s.Cfg, node, send, &s.delay)
 	}
 	return s, nil
+}
+
+// L1 returns node's L1 cache, building it on first use. Building one has
+// no side effect on the simulation, so an L1 that exists only because it
+// was asked for behaves, and checkpoints, exactly like one never built.
+func (s *System) L1(node int) *L1 {
+	if l := s.l1s[node]; l != nil {
+		return l
+	}
+	return s.buildL1(node)
+}
+
+// buildL1 builds node's L1. It is kept out of L1 so that L1's check
+// inlines into every access and delivery.
+func (s *System) buildL1(node int) *L1 {
+	send := func(now uint64, dst int, m Msg) { s.sendMsg(now, node, dst, m) }
+	l := newL1(&s.Cfg, node, len(s.l1s), send, &s.delay)
+	s.l1s[node] = l
+	return l
 }
 
 // sendMsg copies a protocol message into a slab slot and wraps it in a
@@ -104,7 +128,7 @@ func (s *System) DeliverPacket(now uint64, node int, pkt *noc.Packet) {
 func (s *System) Deliver(now uint64, node int, m *Msg) {
 	switch m.To {
 	case ToL1:
-		s.L1s[node].Deliver(now, m)
+		s.L1(node).Deliver(now, m)
 		s.msgs.Free(m.ref)
 	case ToDir:
 		s.Dirs[node].Deliver(now, m)
@@ -120,7 +144,7 @@ func (s *System) Deliver(now uint64, node int, m *Msg) {
 
 // Access performs a memory operation through node's L1.
 func (s *System) Access(now uint64, node int, addr uint64, write bool, cb func(now uint64)) {
-	s.L1s[node].Access(now, addr, write, cb)
+	s.L1(node).Access(now, addr, write, cb)
 }
 
 // Tick implements sim.Component: advance internal pipelines.
@@ -147,8 +171,10 @@ func (s *System) SetWaker(w sim.Waker) { s.delay.SetNotify(w.Wake) }
 // Pending reports outstanding protocol work (for quiescence checks).
 func (s *System) Pending() int {
 	n := s.delay.Len()
-	for _, l1 := range s.L1s {
-		n += l1.PendingOps()
+	for _, l1 := range s.l1s {
+		if l1 != nil {
+			n += l1.PendingOps()
+		}
 	}
 	for _, d := range s.Dirs {
 		n += d.BusyBlocks()
@@ -165,7 +191,10 @@ func (s *System) CheckCoherence() error {
 		sharers []int
 	}
 	views := make(map[uint64]*blockView)
-	for n, l1 := range s.L1s {
+	for n, l1 := range s.l1s {
+		if l1 == nil {
+			continue
+		}
 		for si := range l1.sets {
 			for wi := range l1.sets[si] {
 				ln := &l1.sets[si][wi]
@@ -191,7 +220,7 @@ func (s *System) CheckCoherence() error {
 			return fmt.Errorf("mem: block %x has %d owners: %v", addr, len(v.owners), v.owners)
 		}
 		if len(v.owners) == 1 && len(v.sharers) > 0 {
-			st := s.L1s[v.owners[0]].State(addr)
+			st := s.l1s[v.owners[0]].State(addr)
 			if st == Modified || st == Exclusive {
 				return fmt.Errorf("mem: block %x owned %s by %d but shared by %v", addr, st, v.owners[0], v.sharers)
 			}
