@@ -87,9 +87,9 @@ bench-json:
 # losing idle-window fast-forward (or the hierarchical active sets) trips
 # it even on a noisy runner. The construction gate holds the bytes New
 # allocates for 16 threads on a 64x64 mesh under
-# .github/new-bytes-threshold: L1s and lock clients are built only on the
-# nodes that use them, and building them on every node again would more
-# than double the figure.
+# .github/new-bytes-threshold: L1s, lock clients and router input buffers
+# are built only on the nodes that use them, and building the buffers on
+# every router again (29 MB with the L1s still lazy) would trip it.
 bench-smoke:
 	@$(GO) test -run '^$$' -bench '^BenchmarkSteadyStateStep$$' -benchmem -benchtime 20000x . | tee /tmp/bench-smoke.out
 	@max=$$(cat .github/alloc-threshold); \

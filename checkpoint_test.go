@@ -406,3 +406,51 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreAtManyCycles snapshots one run every 1,200 cycles from start
+// to finish, restores each snapshot into a fresh platform and requires the
+// finished results to equal the uninterrupted run's byte for byte. The
+// pinned-digest and warm-start tests restore at a handful of cycles; a
+// sweep also catches state that matters only at some instants, such as an
+// input VC that is active but momentarily empty because the rest of its
+// packet is still upstream.
+func TestRestoreAtManyCycles(t *testing.T) {
+	p, err := Benchmark("can")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Benchmark: p.Scale(0.1), Threads: 16, OCOR: true, Seed: 3}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runToJSON(t, ref)
+	end := ref.Engine.Now()
+
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restores := 0
+	for at := uint64(1200); at < end; at += 1200 {
+		if _, err := sys.RunTo(at); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sys.Snapshot()
+		if err != nil {
+			t.Fatalf("cycle %d: %v", at, err)
+		}
+		restored, err := Restore(cfg, snap)
+		if err != nil {
+			t.Fatalf("cycle %d: restore: %v", at, err)
+		}
+		if got := runToJSON(t, restored); !bytes.Equal(got, want) {
+			t.Fatalf("restored at cycle %d, the run diverged:\nref: %s\ngot: %s", at, want, got)
+		}
+		restores++
+	}
+	if restores < 10 {
+		t.Fatalf("only %d restores before the run ended at cycle %d", restores, end)
+	}
+	t.Logf("%d restores across %d cycles", restores, end)
+}

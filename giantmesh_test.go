@@ -141,12 +141,47 @@ func TestGiantMeshSmoke64(t *testing.T) {
 	}
 }
 
+// TestGiantMeshBuildsUsedRouters checks that a router builds its input
+// buffers only when traffic reaches it: New for 16 threads on a 64x64 mesh
+// builds none, and after a run the built routers are exactly those that
+// moved a flit.
+func TestGiantMeshBuildsUsedRouters(t *testing.T) {
+	p := smallProfile()
+	p.Iterations = 2
+	sys, err := New(Config{Benchmark: p, Threads: 16, MeshWidth: 64, MeshHeight: 64, OCOR: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range sys.Net.Routers {
+		if r.BuffersBuilt() {
+			t.Fatalf("New built router %d's buffers", i)
+		}
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	built := 0
+	for i, r := range sys.Net.Routers {
+		if used := r.Stats.FlitsTraversed > 0; used != r.BuffersBuilt() {
+			t.Fatalf("router %d: moved flits %v, built %v", i, used, r.BuffersBuilt())
+		}
+		if r.BuffersBuilt() {
+			built++
+		}
+	}
+	if built == 0 || built == len(sys.Net.Routers) {
+		t.Fatalf("%d of %d routers built their buffers", built, len(sys.Net.Routers))
+	}
+	t.Logf("%d of %d routers built their buffers", built, len(sys.Net.Routers))
+}
+
 // BenchmarkNewGiant measures platform construction in the giant-sparse
 // regime: 16 threads on a 64x64 mesh, so 4080 of the 4096 nodes never run
 // a thread. CI's bench-smoke gate holds its B/op to
 // .github/new-bytes-threshold: construction must stay proportional to the
-// threads (their L1s, lock clients and programs) plus the NoC, and not
-// grow back per-node structures that only a thread would use.
+// threads (their L1s, lock clients and programs) plus the NoC's per-node
+// routers, links and NIs, and not grow back structures that only a
+// thread or a router's traffic would use, such as L1s or input buffers.
 func BenchmarkNewGiant(b *testing.B) {
 	p, err := Benchmark("imag")
 	if err != nil {

@@ -110,6 +110,14 @@ type Config struct {
 	ParThreshold int
 }
 
+// Bounds on the buffer and packet sizes, far above the paper's 4-flit VCs
+// and 8-flit data packets. They keep the int32 credit counters and a VC
+// record's narrow ring indices and sequence number from overflowing.
+const (
+	MaxVCDepth     = 1024
+	MaxPacketFlits = 1024
+)
+
 // DefaultConfig returns the paper's 8x8 configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -159,11 +167,18 @@ func (c *Config) Validate() error {
 	if c.VCDepth <= 0 {
 		c.VCDepth = 4
 	}
+	if c.VCDepth > MaxVCDepth {
+		return &ConfigError{Field: "VCDepth", Reason: fmt.Sprintf("at most %d flits, got %d", MaxVCDepth, c.VCDepth)}
+	}
 	if c.LinkLatency <= 0 {
 		c.LinkLatency = 1
 	}
 	if c.DataPacketFlits <= 0 {
 		c.DataPacketFlits = 8
+	}
+	if c.DataPacketFlits > MaxPacketFlits {
+		return &ConfigError{Field: "DataPacketFlits",
+			Reason: fmt.Sprintf("at most %d flits, got %d", MaxPacketFlits, c.DataPacketFlits)}
 	}
 	if c.Routing != RoutingXY && c.Routing != RoutingYX {
 		return &ConfigError{Field: "Routing", Reason: fmt.Sprintf("unknown algorithm %d", c.Routing)}

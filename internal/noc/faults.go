@@ -104,15 +104,10 @@ func (n *Network) CensusNow() Census {
 			}
 		}
 		for i := range r.in {
-			vc := &r.in[i]
-			for k := 0; k < int(vc.n); k++ {
-				idx := int(vc.hd) + k
-				if idx >= len(vc.flits) {
-					idx -= len(vc.flits)
-				}
-				if vc.flits[idx].isTail() {
-					c.BufferedTails++
-				}
+			// A VC buffers flits of one packet, so its tail can only be
+			// the newest flit.
+			if vc := &r.in[i]; vc.n > 0 && int(vc.seq)+int(vc.n) == vc.pkt.Size {
+				c.BufferedTails++
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 		routed, active, fc := 0, 0, 0
 		var pf [NumDirs]int
 		var mr, ma [NumDirs]uint64
-		for d := Dir(0); d < NumDirs; d++ {
+		for d := Dir(0); d < NumDirs && r.in != nil; d++ {
 			for v := 0; v < r.cfg.VCs; v++ {
 				vc := r.vc(d, v)
 				fc += int(vc.n)

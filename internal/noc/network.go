@@ -95,6 +95,10 @@ type Network struct {
 	// their own copies for the per-flit and per-tick decisions.
 	faults *fault.Injector
 
+	// freshVCs caches freshVCRecord: the checkpoint encoding of the input
+	// VC records of a router that never buffered a flit.
+	freshVCs []byte
+
 	// pktSlab recycles Packets: NewPacket draws from it and FreePacket
 	// (called by the consumer once the packet is fully processed) returns
 	// them. The LIFO freelist is deterministic, so reuse order depends only
@@ -120,23 +124,22 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.routerActive = newActSet(nodes)
 	n.niActive = newActSet(nodes)
 	n.niInject = newActSet(nodes)
-	// Structure-of-arrays state: routers, NIs, links and every hot per-VC
-	// array live in node-major arenas instead of per-object allocations, so
-	// the bytes one tick phase sweeps — and the bytes one shard owns — are
-	// contiguous. Routers/NIs stay exposed as []*Router / []*NI pointing
-	// into the slabs, keeping the public surface unchanged.
+	// Structure-of-arrays state: routers, NIs, links and the per-VC credit
+	// and allocation arrays live in node-major arenas instead of per-object
+	// allocations, so the bytes one tick phase sweeps — and the bytes one
+	// shard owns — are contiguous. Routers/NIs stay exposed as []*Router /
+	// []*NI pointing into the slabs, keeping the public surface unchanged.
+	// Input VC records and their rings are not allocated here: each router
+	// builds its own on its first buffered flit.
 	routerSlab := make([]Router, nodes)
 	niSlab := make([]NI, nodes)
 	perRouter := int(NumDirs) * cfg.VCs
-	inArena := make([]vcBuf, nodes*perRouter)
-	ringArena := make([]flit, nodes*perRouter*cfg.VCDepth)
 	creditArena := make([]int32, nodes*perRouter)
 	allocArena := make([]bool, nodes*perRouter)
 	niCreditArena := make([]int32, nodes*cfg.VCs)
 	niAllocArena := make([]bool, nodes*cfg.VCs)
 	for i := 0; i < nodes; i++ {
 		initRouter(&routerSlab[i], &n.Cfg, i, act, &n.routerFlits, &n.routerActive,
-			inArena[i*perRouter:], ringArena[i*perRouter*cfg.VCDepth:],
 			creditArena[i*perRouter:], allocArena[i*perRouter:])
 		n.Routers[i] = &routerSlab[i]
 		initNI(&niSlab[i], &n.Cfg, i, act, &n.queuedPkts, &n.niInject,

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -35,13 +36,26 @@ func TestConfigValidate(t *testing.T) {
 	if cfg.VCs != 6 || cfg.VCDepth != 4 || cfg.LinkLatency != 1 || cfg.DataPacketFlits != 8 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	bad := Config{Width: 0, Height: 4}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected error for zero width")
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"zero width", Config{Width: 0, Height: 4}, "Width/Height"},
+		{"VCs below vnets", Config{Width: 2, Height: 2, VCs: 2}, "VCs"},
+		{"VCDepth past the bound", Config{Width: 2, Height: 2, VCDepth: MaxVCDepth + 1}, "VCDepth"},
+		{"VCDepth past int32", Config{Width: 2, Height: 2, VCDepth: 1 << 31}, "VCDepth"},
+		{"DataPacketFlits past the bound", Config{Width: 2, Height: 2, DataPacketFlits: MaxPacketFlits + 1}, "DataPacketFlits"},
+	} {
+		err := c.cfg.Validate()
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field {
+			t.Fatalf("%s: Validate() = %v, want a *ConfigError on %s", c.name, err, c.field)
+		}
 	}
-	bad2 := Config{Width: 2, Height: 2, VCs: 2}
-	if err := bad2.Validate(); err == nil {
-		t.Fatal("expected error for VCs < vnets")
+	atBounds := Config{Width: 2, Height: 2, VCDepth: MaxVCDepth, DataPacketFlits: MaxPacketFlits}
+	if err := atBounds.Validate(); err != nil {
+		t.Fatalf("buffers at the bounds rejected: %v", err)
 	}
 }
 

@@ -18,69 +18,67 @@ const (
 	vcActive                // output VC allocated, flits compete for switch
 )
 
-// vcBuf is one input virtual channel: a fixed-capacity ring FIFO of flits
-// (backing storage carved from a network-wide arena, reused across packets)
-// plus the per-packet pipeline state. The struct is deliberately 48 bytes —
-// narrow index fields and a byte-sized direction — so a port's VC array
-// spans a third fewer cache lines than the naive word-per-field layout;
-// the allocators sweep these structures every cycle.
+// vcBuf is one input virtual channel: the pipeline state of the packet it
+// buffers plus its ring of arrival cycles, a VCDepth-slot window of the
+// router's rings. A VC holds at most one packet at a time (head flits only
+// enter idle VCs; the tail leaves the VC empty), so the buffered flits are
+// always flits seq, seq+1, ... of pkt and the packet is stored here once
+// instead of in every ring slot. The struct is deliberately 32 bytes —
+// narrow index fields and a byte-sized direction — so a port's six VCs
+// span three cache lines; the allocators sweep these records every cycle.
 type vcBuf struct {
-	flits []flit // ring storage; len == VCDepth
-	// headEnq mirrors head().enqueuedAt: the allocators test staging
-	// eligibility on every VC every cycle, and reading it here spares them
-	// the flits-ring indirection on their hottest line.
+	// pkt, seq, headKey and headVNet describe the buffered packet. They are
+	// set whenever a flit enters the empty VC (Router.commit), not only on
+	// head flits: an active VC can drain while the rest of its packet is
+	// still upstream, and a restored VC that held no flits knows no packet.
+	// pkt is left stale once the VC drains; readers stay inside [hd, hd+n).
+	pkt *Packet
+	// headEnq mirrors the head flit's arrival cycle: the allocators test
+	// staging eligibility on every VC every cycle, and reading it here
+	// spares them the ring indirection on their hottest line.
 	headEnq uint64
-	// headKey caches head().pkt.Prio.Key(). A VC holds at most one packet
-	// at a time (head flits only enter idle VCs; tails leave them empty),
-	// and a packet's priority word is immutable once the NI accepts it, so
-	// the key set at push time stays valid for the whole occupancy. The
-	// priority allocators compare this one integer instead of chasing
-	// vcBuf -> flit -> packet on every candidate scan. headVNet caches the
-	// occupying packet's virtual network under the same invariant, for the
-	// VC-range lookup in tryAssignVC.
+	// headKey caches pkt.Prio.Key(). A packet's priority word is immutable
+	// once the NI accepts it, so the priority allocators compare this one
+	// integer instead of chasing the packet pointer on every candidate scan.
+	// headVNet caches pkt.VNet for the VC-range lookup in tryAssignVC.
 	headKey  uint32
-	hd       int32 // index of the oldest flit
-	n        int32 // occupied slots
+	seq      int32 // sequence number of the oldest buffered flit
+	hd       int16 // ring index of the oldest flit
+	n        int16 // occupied slots
 	state    vcState
 	outDir   Dir
 	outVC    uint8
 	headVNet uint8
 }
 
-func (v *vcBuf) head() *flit { return &v.flits[v.hd] }
+// head returns the oldest buffered flit.
+func (v *vcBuf) head() flit { return flit{pkt: v.pkt, seq: int(v.seq), enqueuedAt: v.headEnq} }
 
-func (v *vcBuf) push(f flit) {
-	i := int(v.hd + v.n)
-	if i >= len(v.flits) {
-		i -= len(v.flits)
+// push appends a flit that arrived at cycle at to the VC's ring.
+func (v *vcBuf) push(ring []uint64, at uint64) {
+	i := int(v.hd) + int(v.n)
+	if i >= len(ring) {
+		i -= len(ring)
 	}
-	v.flits[i] = f
+	ring[i] = at
 	if v.n == 0 {
-		v.headEnq = f.enqueuedAt
-		v.headKey = f.pkt.Prio.Key()
-		v.headVNet = uint8(f.pkt.VNet)
+		v.headEnq = at
 	}
 	v.n++
 }
 
-func (v *vcBuf) pop() flit {
-	// The popped slot keeps its stale flit value (including the packet
-	// pointer) instead of being zeroed: the census and the allocators only
-	// ever read the occupied window [hd, hd+n), so stale slots are never
-	// interpreted, and the retention is bounded at one packet per buffer
-	// slot (pooled packets are slab-resident anyway). Skipping the 24-byte
-	// clear is a measurable win on the traversal path.
-	f := v.flits[v.hd]
+// pop removes the oldest flit. The freed slot keeps its stale cycle: the
+// census and the allocators only ever read the occupied window.
+func (v *vcBuf) pop(ring []uint64) {
 	v.hd++
-	if int(v.hd) == len(v.flits) {
+	if int(v.hd) == len(ring) {
 		v.hd = 0
 	}
 	v.n--
+	v.seq++
 	if v.n > 0 {
-		// Same packet as the popped flit, so headKey is already right.
-		v.headEnq = v.flits[v.hd].enqueuedAt
+		v.headEnq = ring[v.hd]
 	}
-	return f
 }
 
 // outPort is the upstream view of a downstream input port: credit counts
@@ -117,19 +115,23 @@ type Router struct {
 	// config pointer on the hottest loops (vc() in particular). vcLo/vcHi
 	// cache cfg.VCRange per virtual network so tryAssignVC skips both the
 	// packet-pointer chase and the range arithmetic on every grant attempt.
-	vcs  int
-	prio bool
-	vcLo [NumVNets]uint8
-	vcHi [NumVNets]uint8
+	// depth caches cfg.VCDepth, the length of each VC's window of rings.
+	vcs   int
+	depth int
+	prio  bool
+	vcLo  [NumVNets]uint8
+	vcHi  [NumVNets]uint8
 
 	// in holds every input VC in one contiguous value slice (port-major:
-	// port d's VCs are in[d*VCs:(d+1)*VCs], accessed via vc(d, v)), with
-	// all flit rings carved from a single backing array. The allocators
-	// walk these structures every cycle, so keeping them dense — rather
-	// than behind per-VC pointers — is what the hot loops' cache behaviour
-	// rests on.
-	in  []vcBuf
-	out [NumDirs]outPort
+	// port d's VCs are in[d*VCs:(d+1)*VCs], accessed via vc(d, v)), and
+	// rings their arrival-cycle rings back to back (VC i's is ring(i)). The
+	// allocators walk these records every cycle, so keeping them dense —
+	// rather than behind per-VC pointers — is what the hot loops' cache
+	// behaviour rests on. Both stay nil until the router first buffers a
+	// flit (build): on a sparse giant mesh most routers never do.
+	in    []vcBuf
+	rings []uint64
+	out   [NumDirs]outPort
 
 	// inLink[d] carries flits arriving from direction d (credits we emit
 	// travel upstream on the same link); outLink[d] carries flits we send
@@ -197,23 +199,18 @@ type allocScratch struct {
 	saCands  []saCand
 }
 
-// initRouter initialises a slab-allocated Router in place. The hot per-VC
-// state — the vcBuf array, the flit rings and the output-port credit and
-// allocation arrays — is carved from the caller's network-wide node-major
-// arenas, so consecutive routers' working sets are contiguous in memory:
-// in has NumDirs*VCs entries, rings NumDirs*VCs*VCDepth, credits and
-// allocs NumDirs*VCs each.
+// initRouter initialises a slab-allocated Router in place. The output-port
+// credit and allocation arrays (NumDirs*VCs entries each) are carved from
+// the caller's network-wide node-major arenas, so consecutive routers'
+// credit state is contiguous in memory; the input VCs wait for build.
 func initRouter(r *Router, cfg *Config, id int, act, rf *int, activeSet *actSet,
-	in []vcBuf, rings []flit, credits []int32, allocs []bool) {
-	*r = Router{cfg: cfg, id: id, act: act, rf: rf, activeSet: activeSet, vcs: cfg.VCs, prio: cfg.Priority}
+	credits []int32, allocs []bool) {
+	*r = Router{cfg: cfg, id: id, act: act, rf: rf, activeSet: activeSet,
+		vcs: cfg.VCs, depth: cfg.VCDepth, prio: cfg.Priority}
 	r.x, r.y = cfg.XY(id)
 	for vn := 0; vn < NumVNets; vn++ {
 		lo, hi := cfg.VCRange(vn)
 		r.vcLo[vn], r.vcHi[vn] = uint8(lo), uint8(hi)
-	}
-	r.in = in[: int(NumDirs)*cfg.VCs : int(NumDirs)*cfg.VCs]
-	for i := range r.in {
-		r.in[i].flits = rings[i*cfg.VCDepth : (i+1)*cfg.VCDepth : (i+1)*cfg.VCDepth]
 	}
 	for d := Dir(0); d < NumDirs; d++ {
 		op := &r.out[d]
@@ -225,8 +222,27 @@ func initRouter(r *Router, cfg *Config, id int, act, rf *int, activeSet *actSet,
 	}
 }
 
+// build allocates the input VC records and their rings, on the router's
+// first buffered flit. Commit calls it, inside a shard worker during a
+// fused tick; each router belongs to exactly one shard, so that is
+// race-free.
+func (r *Router) build() {
+	r.in = make([]vcBuf, int(NumDirs)*r.vcs)
+	r.rings = make([]uint64, len(r.in)*r.depth)
+}
+
+// BuffersBuilt reports whether the router has built its input buffers,
+// which it does on the first flit it buffers.
+func (r *Router) BuffersBuilt() bool { return r.in != nil }
+
 // vc returns the input VC of port d at index v.
 func (r *Router) vc(d Dir, v int) *vcBuf { return &r.in[int(d)*r.vcs+v] }
+
+// ring returns input VC i's window of the arrival-cycle rings.
+func (r *Router) ring(i int) []uint64 {
+	lo := i * r.depth
+	return r.rings[lo : lo+r.depth : lo+r.depth]
+}
 
 // route computes the dimension-order output direction for dst.
 func (r *Router) route(dst int) Dir {
@@ -307,16 +323,23 @@ func (r *Router) commit(now uint64, fs []flitEvent, dir Dir, sh *tickShard) {
 			}
 			continue
 		}
-		vc := r.vc(dir, ev.vc)
-		if int(vc.n) >= r.cfg.VCDepth {
+		if r.in == nil {
+			r.build()
+		}
+		i := int(dir)*r.vcs + ev.vc
+		vc := &r.in[i]
+		if int(vc.n) >= r.depth {
 			panic(fmt.Sprintf("noc: router %d dir %s vc %d buffer overflow", r.id, dir, ev.vc))
 		}
 		f := ev.f
-		// Stamp the effective arrival cycle (== now on every eager drain):
-		// the allocators' staging test is relative to when the flit reached
-		// the buffer, so a lazy drain leaves the flit's allocation
-		// eligibility, and with it every downstream decision, unchanged.
-		f.enqueuedAt = eff
+		if vc.n == 0 {
+			vc.pkt, vc.seq = f.pkt, int32(f.seq)
+			vc.headKey = f.pkt.Prio.Key()
+			vc.headVNet = uint8(f.pkt.VNet)
+		} else if f.pkt != vc.pkt || f.seq != int(vc.seq)+int(vc.n) {
+			panic(fmt.Sprintf("noc: router %d dir %s vc %d: flit %d of packet %d behind flit %d of packet %d",
+				r.id, dir, ev.vc, f.seq, f.pkt.ID, int(vc.seq)+int(vc.n)-1, vc.pkt.ID))
+		}
 		if f.isHead() {
 			if vc.state != vcIdle {
 				panic(fmt.Sprintf("noc: router %d dir %s vc %d head flit into busy VC", r.id, dir, ev.vc))
@@ -326,7 +349,11 @@ func (r *Router) commit(now uint64, fs []flitEvent, dir Dir, sh *tickShard) {
 			r.routedCount++
 			r.routedMask[dir] |= 1 << uint(ev.vc)
 		}
-		vc.push(f)
+		// Stamp the effective arrival cycle (== now on every eager drain):
+		// the allocators' staging test is relative to when the flit reached
+		// the buffer, so a lazy drain leaves the flit's allocation
+		// eligibility, and with it every downstream decision, unchanged.
+		vc.push(r.ring(i), eff)
 		if sh == nil {
 			if r.flitCount == 0 {
 				r.activeSet.set(r.id)
@@ -457,8 +484,8 @@ func (r *Router) allocateVCs(now uint64, sc *allocScratch) {
 func (r *Router) grantVAPriority(now uint64, op *outPort, reqs []vaReq, sc *allocScratch) {
 	n := len(reqs)
 	// Priorities are stable for the duration of the grant loop (grants pop
-	// no flits); fetch each head's cached priority key once instead of
-	// chasing vcBuf -> flit -> packet pointers on every selection round.
+	// no flits); fetch each VC's cached priority key once instead of
+	// chasing vcBuf -> packet pointers on every selection round.
 	// Key order is exactly Compare order (core.TestKeyOrderMatchesCompare),
 	// so integer comparison picks the same winner the rule chain would.
 	keys := sc.vaKeys[:0]
@@ -530,7 +557,7 @@ func (r *Router) tryAssignVC(now uint64, op *outPort, req vaReq) bool {
 		if !op.alloc[v] {
 			op.alloc[v] = true
 			if r.obs != nil {
-				r.obs.VAGranted(now, r.id, vc.head().pkt.ID, int(req.dir), req.vc, v)
+				r.obs.VAGranted(now, r.id, vc.pkt.ID, int(req.dir), req.vc, v)
 			}
 			if vc.state == vcRouted {
 				// The round-robin arbiter can revisit an index after its
@@ -692,7 +719,7 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 // arbitration, where priorities are never consulted). The scan is
 // read-only and runs only with a recorder attached and >1 bidder.
 func (r *Router) recordArbitration(now uint64, cands []saCand, winner int, outDir Dir) {
-	wpkt := r.vc(cands[winner].dir, cands[winner].vc).head().pkt
+	wpkt := r.vc(cands[winner].dir, cands[winner].vc).pkt
 	var bestLose core.Priority
 	bidders, losers := 0, 0
 	for i, c := range cands {
@@ -707,12 +734,12 @@ func (r *Router) recordArbitration(now uint64, cands []saCand, winner int, outDi
 		if i == winner {
 			continue
 		}
-		lp := vc.head().pkt.Prio
+		lp := vc.pkt.Prio
 		rule := obs.RuleTie
 		if r.cfg.Priority {
 			rule = obs.DecisiveRule(wpkt.Prio, lp)
 		}
-		r.obs.SALoss(now, r.id, vc.head().pkt.ID, wpkt.ID, int(outDir), rule)
+		r.obs.SALoss(now, r.id, vc.pkt.ID, wpkt.ID, int(outDir), rule)
 		if losers == 0 || core.Compare(lp, bestLose) > 0 {
 			bestLose = lp
 		}
@@ -736,8 +763,10 @@ func (r *Router) recordArbitration(now uint64, cands []saCand, winner int, outDi
 // bitmap registration — is deferred into the shard for the ordered commit
 // phase.
 func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
-	vc := r.vc(inDir, vcIdx)
-	f := vc.pop()
+	i := int(inDir)*r.vcs + vcIdx
+	vc := &r.in[i]
+	f := vc.head()
+	vc.pop(r.ring(i))
 	r.flitCount--
 	r.portFlits[inDir]--
 	op := &r.out[vc.outDir]

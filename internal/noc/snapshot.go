@@ -73,13 +73,8 @@ func (n *Network) collectPackets(links []*link) ([]*Packet, map[*Packet]int32) {
 	}
 	for _, r := range n.Routers {
 		for i := range r.in {
-			vc := &r.in[i]
-			for k := int32(0); k < vc.n; k++ {
-				j := vc.hd + k
-				if int(j) >= len(vc.flits) {
-					j -= int32(len(vc.flits))
-				}
-				add(vc.flits[j].pkt)
+			if vc := &r.in[i]; vc.n > 0 {
+				add(vc.pkt)
 			}
 		}
 	}
@@ -97,9 +92,10 @@ func (n *Network) collectPackets(links []*link) ([]*Packet, map[*Packet]int32) {
 // SnapshotTo writes the network's complete dynamic state: statistics, the
 // live-packet table (payloads serialized through savePayload), loopback
 // and link event queues, the pending-link lists, every router's pipeline
-// and credit state and every NI's queues and streams. Derived activity
-// counters and bitmaps are recomputed on restore; their totals are written
-// anyway as an integrity cross-check.
+// and credit state (a router that never built its input VCs writes a
+// fresh router's VC records) and every NI's queues and streams. Derived
+// activity counters and bitmaps are recomputed on restore; their totals
+// are written anyway as an integrity cross-check.
 func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) error {
 	links, linkIdx := n.linkTable()
 	pkts, pktIdx := n.collectPackets(links)
@@ -223,22 +219,10 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 				w.Bool(a)
 			}
 		}
-		for i := range rt.in {
-			vc := &rt.in[i]
-			w.U8(uint8(vc.state))
-			w.U8(uint8(vc.outDir))
-			w.U8(vc.outVC)
-			w.Int(int(vc.n))
-			for k := int32(0); k < vc.n; k++ {
-				j := vc.hd + k
-				if int(j) >= len(vc.flits) {
-					j -= int32(len(vc.flits))
-				}
-				f := &vc.flits[j]
-				w.U32(uint32(pktIdx[f.pkt]))
-				w.Int(f.seq)
-				w.U64(f.enqueuedAt)
-			}
+		if rt.in == nil {
+			w.Raw(n.freshVCRecord())
+		} else {
+			rt.snapshotVCs(w, pktIdx)
 		}
 	}
 
@@ -434,36 +418,11 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 				op.alloc[v] = r.Bool()
 			}
 		}
-		for i := range rt.in {
-			vc := &rt.in[i]
-			vc.state = vcState(r.U8())
-			vc.outDir = Dir(r.U8())
-			vc.outVC = r.U8()
-			cnt := r.Int()
-			if r.Err() != nil {
-				break
-			}
-			if cnt < 0 || cnt > len(vc.flits) {
-				return fmt.Errorf("noc: router %d vc %d holds %d flits, depth %d", rt.id, i, cnt, len(vc.flits))
-			}
-			// Normalize the ring to hd=0; slots beyond the occupied window
-			// are never read, so their (zeroed) contents don't matter.
-			vc.hd = 0
-			vc.n = int32(cnt)
-			for k := 0; k < cnt; k++ {
-				f := &vc.flits[k]
-				f.pkt = pkt(r.U32())
-				f.seq = r.Int()
-				f.enqueuedAt = r.U64()
-			}
-			if cnt > 0 && r.Err() == nil {
-				h := &vc.flits[0]
-				vc.headEnq = h.enqueuedAt
-				vc.headKey = h.pkt.Prio.Key()
-				vc.headVNet = uint8(h.pkt.VNet)
-			} else {
-				vc.headEnq, vc.headKey, vc.headVNet = 0, 0, 0
-			}
+		if rt.in == nil && r.Consume(n.freshVCRecord()) {
+			continue // never buffered a flit: the router stays unbuilt
+		}
+		if err := rt.restoreVCs(r, pkt); err != nil {
+			return err
 		}
 	}
 
@@ -549,6 +508,93 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			wantActivity, wantNIEvents, wantRouterFlits, wantQueuedPkts)
 	}
 	return nil
+}
+
+// snapshotVCs writes the router's input VC records: each VC's pipeline
+// state and its buffered flits, oldest first.
+func (r *Router) snapshotVCs(w *checkpoint.Writer, pktIdx map[*Packet]int32) {
+	for i := range r.in {
+		vc := &r.in[i]
+		w.U8(uint8(vc.state))
+		w.U8(uint8(vc.outDir))
+		w.U8(vc.outVC)
+		w.Int(int(vc.n))
+		ring := r.ring(i)
+		for k := 0; k < int(vc.n); k++ {
+			j := int(vc.hd) + k
+			if j >= len(ring) {
+				j -= len(ring)
+			}
+			w.U32(uint32(pktIdx[vc.pkt]))
+			w.Int(int(vc.seq) + k)
+			w.U64(ring[j])
+		}
+	}
+}
+
+// restoreVCs reads the records snapshotVCs wrote, building the router's
+// input VCs first if need be. It rejects a VC whose flits are not
+// consecutive flits of one packet: the VC record stores the packet once.
+func (r *Router) restoreVCs(cr *checkpoint.Reader, pkt func(uint32) *Packet) error {
+	if r.in == nil {
+		r.build()
+	}
+	for i := range r.in {
+		vc := &r.in[i]
+		*vc = vcBuf{state: vcState(cr.U8()), outDir: Dir(cr.U8()), outVC: cr.U8()}
+		cnt := cr.Int()
+		if cr.Err() != nil {
+			return cr.Err()
+		}
+		if cnt < 0 || cnt > r.depth {
+			return fmt.Errorf("noc: router %d vc %d holds %d flits, depth %d", r.id, i, cnt, r.depth)
+		}
+		// Normalize the ring to hd=0; slots beyond the occupied window are
+		// never read, so their contents don't matter.
+		ring := r.ring(i)
+		for k := 0; k < cnt; k++ {
+			p, seq := pkt(cr.U32()), cr.Int()
+			ring[k] = cr.U64()
+			if cr.Err() != nil {
+				return cr.Err()
+			}
+			if p == nil {
+				return fmt.Errorf("noc: router %d vc %d flit %d names no live packet", r.id, i, k)
+			}
+			if k == 0 {
+				if seq < 0 || seq+cnt > p.Size || p.Size > MaxPacketFlits {
+					return fmt.Errorf("noc: router %d vc %d holds flits %d..%d of packet %d, size %d",
+						r.id, i, seq, seq+cnt-1, p.ID, p.Size)
+				}
+				vc.pkt, vc.seq = p, int32(seq)
+			} else if p != vc.pkt || seq != int(vc.seq)+k {
+				return fmt.Errorf("noc: router %d vc %d holds flit %d of packet %d behind flit %d of packet %d",
+					r.id, i, seq, p.ID, int(vc.seq)+k-1, vc.pkt.ID)
+			}
+		}
+		if cnt > 0 {
+			vc.n = int16(cnt)
+			vc.headEnq = ring[0]
+			vc.headKey = vc.pkt.Prio.Key()
+			vc.headVNet = uint8(vc.pkt.VNet)
+		}
+	}
+	return nil
+}
+
+// freshVCRecord returns the VC records of a router that never buffered a
+// flit, encoded once. An unbuilt router writes exactly these bytes, and a
+// restore builds a router only for records that differ, so snapshot bytes
+// do not depend on which routers built their buffers.
+func (n *Network) freshVCRecord() []byte {
+	if n.freshVCs == nil {
+		w := checkpoint.NewWriter()
+		fresh := Router{vcs: n.Cfg.VCs, depth: n.Cfg.VCDepth}
+		fresh.build()
+		fresh.snapshotVCs(w, nil)
+		n.freshVCs = w.Snapshot().Data
+	}
+	return n.freshVCs
 }
 
 // recomputeDerived rebuilds the router's counters and per-port masks from

@@ -51,10 +51,19 @@ func TestPlatformConfigValidate(t *testing.T) {
 
 	// Subsystem configs are validated too, on copies: the caller's struct
 	// must not be default-filled as a side effect.
-	ncfg := noc.Config{Width: 4, Height: 4, VCs: 2}
-	var nerr *noc.ConfigError
-	if err := (&Config{NoC: &ncfg}).Validate(); !errors.As(err, &nerr) {
-		t.Fatalf("bad NoC config: err = %v, want *noc.ConfigError", err)
+	for _, ncfg := range []noc.Config{
+		{Width: 4, Height: 4, VCs: 2},
+		// Buffers this deep once killed New with an out-of-memory throw.
+		{Width: 2, Height: 2, VCDepth: 1 << 31},
+		{Width: 2, Height: 2, DataPacketFlits: noc.MaxPacketFlits + 1},
+	} {
+		var nerr *noc.ConfigError
+		if err := (&Config{NoC: &ncfg}).Validate(); !errors.As(err, &nerr) {
+			t.Fatalf("bad NoC config %+v: err = %v, want *noc.ConfigError", ncfg, err)
+		}
+		if _, err := New(Config{NoC: &ncfg}); !errors.As(err, &nerr) {
+			t.Fatalf("New with bad NoC config %+v: err = %v, want *noc.ConfigError", ncfg, err)
+		}
 	}
 	kcfg := kernel.Config{SpinInterval: -1}
 	var kerr *kernel.ConfigError
