@@ -26,20 +26,19 @@ func TestCellKeyPinned(t *testing.T) {
 	}
 }
 
-// TestKnobCellsRunCold puts a trace, an observer and a fault cell beside
-// a plain cell in one warm grid. They all share the plain cell's prefix
-// key, but a restored platform would lose the prefix's timeline regions,
-// observer events and injected faults, so each must run from cycle zero
-// and reproduce its cold-grid CellResult exactly, while the plain cell
-// still forks.
+// TestKnobCellsRunCold puts a trace and a fault cell beside a plain cell
+// in one warm grid. They share the plain cell's prefix key, but a
+// restored platform would lose the prefix's timeline regions and
+// injected faults, so each must run from cycle zero and reproduce its
+// cold-grid CellResult exactly, while the plain cell still forks and
+// reports the same BT/COH histograms and handoff counts as its cold run.
 func TestKnobCellsRunCold(t *testing.T) {
-	plain := experiments.Cell{Profile: detProfile(), Threads: 16, OCOR: true, Seed: 7}
-	trace, observe, faulted := plain, plain, plain
+	plain := experiments.Cell{Profile: detProfile(), Threads: 16, OCOR: true, Seed: 7, Protocol: "mcs"}
+	trace, faulted := plain, plain
 	trace.TraceThreads = 4
-	observe.Observe = true
 	faulted.Faults = fault.Plan{Seed: 7, DropRate: 0.01}
 	faulted.Recovery = true
-	cells := []experiments.Cell{plain, trace, observe, faulted}
+	cells := []experiments.Cell{plain, trace, faulted}
 	for _, c := range cells[1:] {
 		if c.Forkable() || c.Key() == plain.Key() || c.PrefixKey() != plain.PrefixKey() {
 			t.Fatalf("knob cell %+v: forkable=%v, key and prefix key must differ/match the plain cell's", c, c.Forkable())
@@ -57,9 +56,14 @@ func TestKnobCellsRunCold(t *testing.T) {
 	if st.Forked != 1 || warm[0].PrefixCycle == 0 {
 		t.Fatalf("plain cell did not fork: stats %+v", st)
 	}
-	if cold[1].Timeline == "" || cold[2].BT.Count() == 0 || cold[3].Faults.DroppedTails == 0 {
-		t.Fatalf("knob cells lost their views: timeline %q, BT %d samples, %d drops",
-			cold[1].Timeline, cold[2].BT.Count(), cold[3].Faults.DroppedTails)
+	if cold[1].Timeline == "" || cold[2].Faults.DroppedTails == 0 {
+		t.Fatalf("knob cells lost their views: timeline %q, %d drops", cold[1].Timeline, cold[2].Faults.DroppedTails)
+	}
+	c, w := cold[0], warm[0]
+	if c.BT.Count() == 0 || c.BT != w.BT || c.COH != w.COH || c.Handoffs == 0 ||
+		c.Handoffs != w.Handoffs || c.MaxQueueDepth != w.MaxQueueDepth {
+		t.Fatalf("forked plain cell's views differ from its cold run's: BT %d/%d samples, handoffs %d/%d, max queue %d/%d",
+			c.BT.Count(), w.BT.Count(), c.Handoffs, w.Handoffs, c.MaxQueueDepth, w.MaxQueueDepth)
 	}
 	for i := 1; i < len(cells); i++ {
 		if c, w := fmt.Sprintf("%#v", cold[i]), fmt.Sprintf("%#v", warm[i]); c != w {

@@ -34,7 +34,6 @@ func (s *System) Snapshot() (*checkpoint.Snapshot, error) {
 	w.Bool(s.Cfg.OCOR)
 	w.Int(s.Cfg.PriorityLevels)
 	w.U64(s.Cfg.Seed)
-	w.Bool(false) // retired unpooled-mode flag; a set slot never matches
 	w.Bool(hasKernel)
 	w.Bool(hasFaults)
 	w.Bool(s.started)
@@ -92,7 +91,7 @@ func Restore(cfg Config, snap *checkpoint.Snapshot) (*System, error) {
 
 func (s *System) restore(snap *checkpoint.Snapshot) error {
 	if snap.Version != checkpoint.Version {
-		return fmt.Errorf("repro: checkpoint version %d, this build reads %d", snap.Version, checkpoint.Version)
+		return fmt.Errorf("repro: %w: snapshot version %d, this build reads %d", checkpoint.ErrVersion, snap.Version, checkpoint.Version)
 	}
 	r := checkpoint.NewReader(snap)
 	r.Begin("platform")
@@ -103,7 +102,6 @@ func (s *System) restore(snap *checkpoint.Snapshot) error {
 	ocor := r.Bool()
 	levels := r.Int()
 	seed := r.U64()
-	nopool := r.Bool()
 	hasKernel := r.Bool()
 	hasFaults := r.Bool()
 	started := r.Bool()
@@ -113,9 +111,9 @@ func (s *System) restore(snap *checkpoint.Snapshot) error {
 	}
 	if bench != s.Cfg.Benchmark.Name || threads != s.Cfg.Threads ||
 		width != s.Net.Cfg.Width || height != s.Net.Cfg.Height ||
-		ocor != s.Cfg.OCOR || seed != s.Cfg.Seed || nopool {
-		return fmt.Errorf("repro: snapshot config (%s t=%d %dx%d ocor=%v seed=%d nopool=%v) does not match platform (%s t=%d %dx%d ocor=%v seed=%d nopool=false)",
-			bench, threads, width, height, ocor, seed, nopool,
+		ocor != s.Cfg.OCOR || seed != s.Cfg.Seed {
+		return fmt.Errorf("repro: snapshot config (%s t=%d %dx%d ocor=%v seed=%d) does not match platform (%s t=%d %dx%d ocor=%v seed=%d)",
+			bench, threads, width, height, ocor, seed,
 			s.Cfg.Benchmark.Name, s.Cfg.Threads, s.Net.Cfg.Width, s.Net.Cfg.Height,
 			s.Cfg.OCOR, s.Cfg.Seed)
 	}

@@ -3,8 +3,8 @@ package repro
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/noc"
 )
 
@@ -247,9 +248,9 @@ func TestCheckpointInertKernelForksProtocols(t *testing.T) {
 }
 
 // TestCheckpointRejects covers the guarded failure modes: restoring into
-// a mismatched configuration, restoring a snapshot whose retired
-// unpooled-mode slot is set, and restoring a non-inert kernel snapshot
-// into a different protocol.
+// a mismatched configuration, restoring a snapshot of another format
+// version, and restoring a non-inert kernel snapshot into a different
+// protocol.
 func TestCheckpointRejects(t *testing.T) {
 	cfg := Config{Benchmark: detProfile(), Threads: 16, OCOR: true, Seed: 7}
 	sys, err := New(cfg)
@@ -278,17 +279,11 @@ func TestCheckpointRejects(t *testing.T) {
 	if _, err := Restore(bad, snap); err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("restore under different OCOR mode: got %v, want config mismatch", err)
 	}
-	// Builds with an unpooled mode wrote its flag into the platform
-	// fingerprint right after the seed; the slot is still written (as
-	// false), and a set one must come back as the mismatch error.
-	old := &checkpoint.Snapshot{Version: snap.Version, Data: append([]byte(nil), snap.Data...)}
-	slot := 4 + len("platform") + 8 + 4 + len(cfg.Benchmark.Name) + 3*8 + 1 + 2*8
-	if seed := binary.LittleEndian.Uint64(old.Data[slot-8:]); seed != cfg.Seed || old.Data[slot] != 0 {
-		t.Fatalf("fingerprint layout drifted: seed %d, slot byte %d", seed, old.Data[slot])
-	}
-	old.Data[slot] = 1
-	if _, err := Restore(cfg, old); err == nil || !strings.Contains(err.Error(), "does not match") {
-		t.Fatalf("restore with the unpooled-mode slot set: got %v, want config mismatch", err)
+	// The version is checked before any decoding, so a version-1
+	// snapshot fails the same way whatever its payload.
+	old := &checkpoint.Snapshot{Version: 1, Data: snap.Data}
+	if _, err := Restore(cfg, old); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("restore of a version-1 snapshot: got %v, want checkpoint.ErrVersion", err)
 	}
 	bad = cfg
 	bad.Protocol = "mcs"
@@ -351,9 +346,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		want string
 	}{
 		{"det-16t-4x4", Config{Benchmark: detProfile(), Threads: 16, OCOR: true, Seed: 7}, 7500,
-			"fb4c4a4dfb887c3279e09328b9a82d66bbb0757388f7f74129de494866e99864"},
+			"1610ebe741fd6ae273f1525701dcafe2dc3f979889785e9b253e0cec4e95e366"},
 		{"det-4t-8x8", Config{Benchmark: detProfile(), Threads: 4, MeshWidth: 8, MeshHeight: 8, OCOR: true, Seed: 7}, 2500,
-			"3119ed60e9232de9abc109c6f62215de8ef32c3e79f45166cff8a7f8b0b1df11"},
+			"f4d109245b422c5afb4614093605604e34ec40291b789f2f415a8ed63948fe56"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -453,4 +448,43 @@ func TestRestoreAtManyCycles(t *testing.T) {
 		t.Fatalf("only %d restores before the run ended at cycle %d", restores, end)
 	}
 	t.Logf("%d restores across %d cycles", restores, end)
+}
+
+// fuzzConfig is FuzzRestore's platform: two threads on a 2x1 mesh with
+// tiny caches, so the seed snapshot is about 8 KB. Each execution, and
+// each minimisation of a new input, costs more the larger the input is.
+func fuzzConfig() Config {
+	return Config{Benchmark: detProfile(), Threads: 2, MeshWidth: 2, MeshHeight: 1, OCOR: true, Seed: 7,
+		Mem: &mem.Config{L1Sets: 4, L1Ways: 2, L2Sets: 16, L2Ways: 4}}
+}
+
+// FuzzRestore feeds arbitrary payloads to Restore past the file
+// checksum, so they reach every layer's RestoreFrom. A malformed payload
+// may fail with an error but must never panic, exhaust memory or hang.
+// The seed is a mid-run snapshot that holds lock state and flits on
+// links.
+func FuzzRestore(f *testing.F) {
+	sys, err := New(fuzzConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for at := uint64(100); sys.Kernel.Inert() || sys.Net.CensusNow().LinkTails == 0; at += 100 {
+		if sys.CPU.AllDone() {
+			f.Fatal("the run ended before a cycle with lock state and flits on links")
+		}
+		if _, err := sys.RunTo(at); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Restore(fuzzConfig(), snap); err != nil {
+		f.Fatalf("the seed does not restore: %v", err)
+	}
+	f.Add(snap.Data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = Restore(fuzzConfig(), &checkpoint.Snapshot{Version: checkpoint.Version, Data: data})
+	})
 }

@@ -2,7 +2,7 @@
 // algorithm crossed with OCOR on/off over a workload catalog subset, on
 // the full simulated platform, ranked into a deterministic leaderboard
 // by total ROI finish time. Per-algorithm blocking-time and
-// competition-overhead histograms come from the streaming observer, and
+// competition-overhead histograms come from the metrics collector, and
 // handoff/queue-depth counters from the lock controllers.
 //
 // Output is a stable JSON report (byte-identical for any -j / -workers

@@ -167,7 +167,7 @@ func main() {
 			}
 			nl := &net.Stats.NetLatency[c]
 			tl := &net.Stats.TotalLatency[c]
-			fmt.Printf("%dx%d,%s,%.3f,%v,%s,%d,%d,%.3f,%.3f,%.0f\n",
+			fmt.Printf("%dx%d,%s,%.3f,%v,%s,%d,%d,%.3f,%.3f,%d\n",
 				w, h, *pattern, *load, *priority, c,
 				net.Stats.InjectedPkts[c], net.Stats.DeliveredPkts[c], nl.Mean(), tl.Mean(), nl.Max())
 		}
@@ -182,7 +182,7 @@ func main() {
 			if net.Stats.InjectedPkts[c] == 0 {
 				continue
 			}
-			fmt.Printf("%-8s %10d %10d %12.1f %12.1f %12.0f\n",
+			fmt.Printf("%-8s %10d %10d %12.1f %12.1f %12d\n",
 				c, net.Stats.InjectedPkts[c], net.Stats.DeliveredPkts[c], nl.Mean(), tl.Mean(), nl.Max())
 		}
 		var traversed, conflicts uint64

@@ -15,6 +15,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -23,8 +24,13 @@ import (
 )
 
 // Version is the current checkpoint format version. Readers reject files
-// with a different version: state layout changes must bump it.
-const Version uint32 = 1
+// with a different version: state layout changes must bump it. Version 2
+// encodes histograms as obs.LogHist and drops three fields nothing read.
+const Version uint32 = 2
+
+// ErrVersion marks a snapshot of another format version; it is reported
+// before any payload is decoded.
+var ErrVersion = errors.New("checkpoint: unsupported format version")
 
 // magic identifies checkpoint files on disk.
 var magic = [8]byte{'O', 'C', 'O', 'R', 'C', 'K', 'P', 'T'}
@@ -82,7 +88,7 @@ func ReadFile(path string) (*Snapshot, error) {
 	}
 	v := binary.LittleEndian.Uint32(raw[8:])
 	if v != Version {
-		return nil, fmt.Errorf("checkpoint: %s: format version %d, this build reads %d", filepath.Base(path), v, Version)
+		return nil, fmt.Errorf("%w: %s: format version %d, this build reads %d", ErrVersion, filepath.Base(path), v, Version)
 	}
 	data := raw[16:]
 	if sum := binary.LittleEndian.Uint32(raw[12:]); sum != crc32.ChecksumIEEE(data) {
@@ -335,7 +341,7 @@ func (r *Reader) String() string {
 // Ints reads a length-prefixed []int.
 func (r *Reader) Ints() []int {
 	n := int(r.U32())
-	if r.err != nil || n == 0 {
+	if n == 0 || !r.need(8*n) {
 		return nil
 	}
 	vs := make([]int, n)
@@ -348,7 +354,7 @@ func (r *Reader) Ints() []int {
 // U64s reads a length-prefixed []uint64.
 func (r *Reader) U64s() []uint64 {
 	n := int(r.U32())
-	if r.err != nil || n == 0 {
+	if n == 0 || !r.need(8*n) {
 		return nil
 	}
 	vs := make([]uint64, n)
@@ -358,8 +364,17 @@ func (r *Reader) U64s() []uint64 {
 	return vs
 }
 
-// Len reads a slice/map length written by Writer.Len.
-func (r *Reader) Len() int { return int(r.U32()) }
+// Len reads a slice/map length written by Writer.Len. Decoders size
+// allocations and loops by it, so a count larger than the bytes left in
+// the open section (or the payload) fails: an honest record never counts
+// more elements than there are bytes after its count.
+func (r *Reader) Len() int {
+	n := int(r.U32())
+	if !r.need(n) {
+		return 0
+	}
+	return n
+}
 
 // Consume reads past b and reports true when the unread payload starts
 // with b; otherwise it reads nothing and reports false. With b a complete

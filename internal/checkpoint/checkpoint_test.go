@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,6 +26,8 @@ func TestRoundTrip(t *testing.T) {
 	w.End()
 	w.Begin("beta")
 	w.Len(2)
+	w.U8(5)
+	w.U8(6)
 	w.End()
 	snap := w.Snapshot()
 
@@ -67,6 +70,9 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Len(); got != 2 {
 		t.Fatalf("Len = %d", got)
 	}
+	if a, b := r.U8(), r.U8(); a != 5 || b != 6 {
+		t.Fatalf("elements = %d, %d", a, b)
+	}
 	r.End()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -101,6 +107,38 @@ func TestSectionMismatch(t *testing.T) {
 	r.U64() // past section end
 	if r.Err() == nil {
 		t.Fatal("section overrun not rejected")
+	}
+}
+
+// TestCountOverrun requires a count that overruns its section to fail
+// before any decoder sizes an allocation or a loop by it. Each case
+// writes a count followed by 8 bytes: Len allows one element per byte
+// left, Ints and U64s one per 8 bytes.
+func TestCountOverrun(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		count uint32
+		read  func(*Reader) int
+		ok    bool
+	}{
+		{"Len fits", 8, (*Reader).Len, true},
+		{"Len overruns", 9, (*Reader).Len, false},
+		{"Len huge", 1 << 31, (*Reader).Len, false},
+		{"U64s fits", 1, func(r *Reader) int { return len(r.U64s()) }, true},
+		{"U64s overruns", 2, func(r *Reader) int { return len(r.U64s()) }, false},
+		{"Ints huge", 1 << 31, func(r *Reader) int { return len(r.Ints()) }, false}, // 16 GiB if honoured
+	} {
+		w := NewWriter()
+		w.Begin("s")
+		w.U32(c.count)
+		w.U64(7)
+		w.End()
+		r := NewReader(w.Snapshot())
+		r.Begin("s")
+		n := c.read(r)
+		if ok := r.Err() == nil; ok != c.ok || (ok && n != int(c.count)) || (!ok && n != 0) {
+			t.Errorf("%s: read %d elements, err %v", c.name, n, r.Err())
+		}
 	}
 }
 
@@ -154,6 +192,15 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(bad); err == nil {
 		t.Fatal("bad magic not rejected")
+	}
+
+	// Another format version is ErrVersion, whatever the payload.
+	old := &Snapshot{Version: Version - 1, Data: snap.Data}
+	if err := old.WriteFile(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(bad); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version %d file: err %v, want ErrVersion", old.Version, err)
 	}
 }
 

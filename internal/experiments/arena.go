@@ -2,9 +2,9 @@ package experiments
 
 // Lock-protocol arena: a deterministic tournament crossing every kernel
 // lock protocol with OCOR on/off over a workload catalog subset. Each
-// cell is one full-platform simulation; per-acquisition blocking-time
-// and competition-overhead histograms are captured streaming (obs.Stats)
-// and merged across the catalog, and the combinations are ranked into a
+// cell is one full-platform simulation; its per-acquisition blocking-time
+// and competition-overhead histograms come from the metrics collector and
+// are merged across the catalog, and the combinations are ranked into a
 // leaderboard by total ROI finish time. The report is byte-identical for
 // any -j / -workers setting, like every other sweep in this package.
 
@@ -154,7 +154,7 @@ func RunArena(o ArenaOptions, progress io.Writer) (ArenaReport, error) {
 	for c := 0; c < combos; c++ {
 		for _, p := range profs {
 			cells = append(cells, Cell{Profile: p, Threads: o.Threads, OCOR: c%2 == 1, Seed: o.Seed,
-				Protocol: o.Protocols[c/2], Workers: o.Workers, Observe: true})
+				Protocol: o.Protocols[c/2], Workers: o.Workers})
 		}
 	}
 	runs, _, err := RunGrid(cells, GridOptions{Jobs: o.Jobs}, func(i int, _ CellResult) {

@@ -10,10 +10,9 @@ import (
 	"repro/internal/obs"
 )
 
-// fakeArenaCell produces synthetic observer cells with a strict speed
-// order: mcs < cna < reciprocating < mutable < baseline on ROI, OCOR
-// shaving a constant off each, so the leaderboard ranking is fully
-// predictable.
+// fakeArenaCell produces synthetic cells with a strict speed order:
+// mcs < cna < reciprocating < mutable < baseline on ROI, OCOR shaving a
+// constant off each, so the leaderboard ranking is fully predictable.
 func fakeArenaCell(c Cell) (CellResult, error) {
 	speed := map[string]uint64{"mcs": 1000, "cna": 2000, "reciprocating": 3000, "mutable": 4000, "baseline": 5000}
 	roi := speed[c.Protocol]
@@ -26,13 +25,11 @@ func fakeArenaCell(c Cell) (CellResult, error) {
 			ROIFinish: roi, TotalBT: roi / 2, TotalCOH: roi / 4,
 			Acquisitions: 10, SpinFraction: 0.5,
 		},
+		Handoffs: 7, MaxQueueDepth: 3,
 	}
-	if c.Observe {
-		run.Handoffs, run.MaxQueueDepth = 7, 3
-		run.BT.Observe(roi / 10)
-		run.BT.Observe(roi / 5)
-		run.COH.Observe(roi / 20)
-	}
+	run.BT.Observe(roi / 10)
+	run.BT.Observe(roi / 5)
+	run.COH.Observe(roi / 20)
 	return run, nil
 }
 

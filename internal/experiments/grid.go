@@ -35,9 +35,6 @@ type Cell struct {
 	// TraceThreads threads over the first 1/8 of the run, mirroring the
 	// paper's Fig. 10 excerpt.
 	TraceThreads int `json:",omitempty"`
-	// Observe attaches a streaming observer for the BT/COH histograms and
-	// the kernel's handoff and queue-depth counters.
-	Observe bool `json:",omitempty"`
 	// A non-zero Faults plan or Recovery makes a fault cell: it runs under
 	// the watchdog with lock-kernel recovery set to Recovery and the plan
 	// injected (a plan that injects nothing is the healthy reference
@@ -50,10 +47,9 @@ type Cell struct {
 func (c Cell) Faulted() bool { return c.Recovery || !reflect.ValueOf(c.Faults).IsZero() }
 
 // Forkable reports whether c may warm-start from a shared prefix
-// snapshot. Trace, observer and fault cells always run cold: a restored
-// platform would lose the prefix's timeline regions, observer events and
-// injected faults.
-func (c Cell) Forkable() bool { return c.TraceThreads == 0 && !c.Observe && !c.Faulted() }
+// snapshot. Trace and fault cells always run cold: a restored platform
+// would lose the prefix's timeline regions and injected faults.
+func (c Cell) Forkable() bool { return c.TraceThreads == 0 && !c.Faulted() }
 
 // Key is the cell's full-configuration identity: cells with equal keys
 // produce byte-identical results (the platform's determinism guarantee),
@@ -66,9 +62,6 @@ func (c Cell) Key() string {
 		c.Profile, c.Threads, c.OCOR, c.Levels, c.Seed, c.Protocol, c.Workers)
 	if c.TraceThreads != 0 {
 		k += fmt.Sprintf("|tr%d", c.TraceThreads)
-	}
-	if c.Observe {
-		k += "|obs"
 	}
 	if c.Faulted() {
 		k += fmt.Sprintf("|f%+v|r%v", c.Faults, c.Recovery)
@@ -98,14 +91,15 @@ type CellResult struct {
 	// Timeline is the rendered execution profile of a trace cell.
 	Timeline string
 
-	// Observer cells: per-acquisition blocking-time and competition-
-	// overhead histograms, total lock handoffs and the deepest lock queue.
+	// Every completed run: the metrics collector's per-acquisition
+	// blocking-time and competition-overhead histograms, and the lock
+	// kernel's total handoffs and deepest queue.
 	BT, COH       obs.LogHist
 	Handoffs      uint64
 	MaxQueueDepth int
 
 	// Fault cells: injector and recovery counters, and why the run failed
-	// (empty when it completed; Results is then zero).
+	// (empty when it completed; otherwise Results and the views are zero).
 	Faults   fault.Snapshot
 	Recovery kernel.RecoveryStats
 	Failure  string

@@ -11,7 +11,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/obs"
 )
 
 // Collector accumulates lock lifecycle events during a run. It implements
@@ -30,21 +30,14 @@ type Collector struct {
 	TotalSleeps   uint64
 	TotalRetries  uint64
 
-	COHDist sim.Accumulator
-	BTDist  sim.Accumulator
-	// COHHist and BTHist are power-of-two bucket histograms used for
-	// approximate tail quantiles of the blocking-time decomposition.
-	COHHist *sim.Histogram
-	BTHist  *sim.Histogram
+	// BT and COH are the per-acquisition blocking time and competition
+	// overhead, for their means and approximate tail quantiles.
+	BT, COH obs.LogHist
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		perThread: make(map[int]*ThreadMetrics),
-		COHHist:   sim.NewHistogram(32),
-		BTHist:    sim.NewHistogram(32),
-	}
+	return &Collector{perThread: make(map[int]*ThreadMetrics)}
 }
 
 // ThreadMetrics is the per-thread lock-path accumulation.
@@ -75,10 +68,8 @@ func (c *Collector) Acquired(ev kernel.AcquireEvent) {
 	} else {
 		c.SleepAcquires++
 	}
-	c.COHDist.Observe(float64(ev.COH))
-	c.BTDist.Observe(float64(ev.BT))
-	c.COHHist.Observe(ev.COH)
-	c.BTHist.Observe(ev.BT)
+	c.BT.Observe(ev.BT)
+	c.COH.Observe(ev.COH)
 }
 
 // Released implements kernel.Listener.
@@ -152,8 +143,9 @@ type Results struct {
 	// perfectly even treatment; see Collector.JainFairness).
 	Fairness float64
 
-	// Tail quantile bounds (power-of-two bucket precision) of the
-	// per-acquisition blocking time and competition overhead.
+	// BTP95 and COHP95 are the lower bounds of the power-of-two buckets
+	// holding the 95th percentile of the per-acquisition blocking time and
+	// competition overhead: half the upper bound obs.LogHist.Quantile gives.
 	BTP95  uint64
 	COHP95 uint64
 }
@@ -174,8 +166,8 @@ func (c *Collector) Finalize(name string, ocor bool, cpus *cpu.System, net *noc.
 		SpinFraction: c.SpinFraction(),
 		TotalSleeps:  c.TotalSleeps,
 		TotalRetries: c.TotalRetries,
-		MeanCOH:      c.COHDist.Mean(),
-		MeanBT:       c.BTDist.Mean(),
+		MeanCOH:      c.COH.Mean(),
+		MeanBT:       c.BT.Mean(),
 	}
 	for _, t := range cpus.Threads {
 		r.CSTime += t.Stats.CSCycles
@@ -195,9 +187,19 @@ func (c *Collector) Finalize(name string, ocor bool, cpus *cpu.System, net *noc.
 	r.LockLatency = net.Stats.NetLatency[noc.ClassLock].Mean()
 	r.DataLatency = net.Stats.NetLatency[noc.ClassData].Mean()
 	r.Fairness = c.JainFairness()
-	r.BTP95 = c.BTHist.Quantile(0.95)
-	r.COHP95 = c.COHHist.Quantile(0.95)
+	r.BTP95 = bucketFloor(c.BT.Quantile(0.95))
+	r.COHP95 = bucketFloor(c.COH.Quantile(0.95))
 	return r
+}
+
+// bucketFloor turns a LogHist quantile, its bucket's upper bound, into
+// the bucket's lower bound (the bucket [0, 1) reports 1, and empty 0).
+// Only the last bucket, from 2^30 cycles, would not halve exactly.
+func bucketFloor(q uint64) uint64 {
+	if q <= 1 {
+		return q
+	}
+	return q / 2
 }
 
 // COHImprovement returns the relative COH reduction of b (with OCOR) over a

@@ -40,7 +40,7 @@ func TestCollectorAccumulation(t *testing.T) {
 	if c.Thread(99) != nil {
 		t.Fatal("unknown thread should be nil")
 	}
-	if c.COHDist.Count() != 3 {
+	if c.COH.Count() != 3 {
 		t.Fatal("distribution not recorded")
 	}
 }
@@ -136,15 +136,22 @@ func TestHistogramsRecorded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Acquired(ev(i%4, 0, uint64(10+i*10), 0, true, 0))
 	}
-	if c.BTHist.Count() != 100 || c.COHHist.Count() != 100 {
+	if c.BT.Count() != 100 || c.COH.Count() != 100 {
 		t.Fatal("histograms not populated")
 	}
-	p95 := c.BTHist.Quantile(0.95)
-	p50 := c.BTHist.Quantile(0.5)
+	p95 := c.BT.Quantile(0.95)
+	p50 := c.BT.Quantile(0.5)
 	if p95 < p50 {
 		t.Fatalf("quantiles inverted: p50=%d p95=%d", p50, p95)
 	}
-	if p95 < 512 { // samples reach 1000; bucket bound must be >= 512
-		t.Fatalf("p95 bound too low: %d", p95)
+	if p95 != 1024 { // the 95th sample, 960, lies in [512, 1024)
+		t.Fatalf("p95 bound = %d, want 1024", p95)
+	}
+	// Results reports the bucket's lower bound, and 0 for no samples.
+	if got := bucketFloor(p95); got != 512 {
+		t.Fatalf("Results p95 = %d, want 512", got)
+	}
+	if got := bucketFloor(NewCollector().BT.Quantile(0.95)); got != 0 {
+		t.Fatalf("Results p95 of no samples = %d, want 0", got)
 	}
 }

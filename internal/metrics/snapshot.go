@@ -8,8 +8,8 @@ import (
 )
 
 // SnapshotTo writes the collector's accumulated lock-path measurements:
-// the global counters, both latency distributions (accumulators and
-// histograms) and the per-thread accumulation in sorted thread order.
+// the global counters, the BT and COH histograms and the per-thread
+// accumulation in sorted thread order.
 func (c *Collector) SnapshotTo(w *checkpoint.Writer) {
 	w.Begin("metrics")
 	for _, v := range []uint64{
@@ -18,20 +18,8 @@ func (c *Collector) SnapshotTo(w *checkpoint.Writer) {
 	} {
 		w.U64(v)
 	}
-	saveAcc := func(sum float64, count uint64, min, max float64) {
-		w.F64(sum)
-		w.U64(count)
-		w.F64(min)
-		w.F64(max)
-	}
-	saveAcc(c.COHDist.State())
-	saveAcc(c.BTDist.State())
-	cohBuckets, cohAcc := c.COHHist.State()
-	w.U64s(cohBuckets)
-	saveAcc(cohAcc.State())
-	btBuckets, btAcc := c.BTHist.State()
-	w.U64s(btBuckets)
-	saveAcc(btAcc.State())
+	c.BT.SnapshotTo(w)
+	c.COH.SnapshotTo(w)
 	ids := make([]int, 0, len(c.perThread))
 	for id := range c.perThread {
 		ids = append(ids, id)
@@ -61,12 +49,8 @@ func (c *Collector) RestoreFrom(r *checkpoint.Reader) error {
 	} {
 		*p = r.U64()
 	}
-	c.COHDist.SetState(r.F64(), r.U64(), r.F64(), r.F64())
-	c.BTDist.SetState(r.F64(), r.U64(), r.F64(), r.F64())
-	cohBuckets := r.U64s()
-	c.COHHist.SetState(cohBuckets, r.F64(), r.U64(), r.F64(), r.F64())
-	btBuckets := r.U64s()
-	c.BTHist.SetState(btBuckets, r.F64(), r.U64(), r.F64(), r.F64())
+	c.BT.RestoreFrom(r)
+	c.COH.RestoreFrom(r)
 	n := r.Len()
 	if r.Err() != nil {
 		return r.Err()

@@ -15,10 +15,10 @@ type Stats struct {
 	InjectedPkts  [NumClasses]uint64
 	DeliveredPkts [NumClasses]uint64
 	InjectedFlits uint64
-	// Latency accumulators per class (injection to delivery, cycles).
-	NetLatency [NumClasses]sim.Accumulator
+	// Latency histograms per class (injection to delivery, cycles).
+	NetLatency [NumClasses]obs.LogHist
 	// Source queueing + network latency per class.
-	TotalLatency [NumClasses]sim.Accumulator
+	TotalLatency [NumClasses]obs.LogHist
 	// LocalDeliveries counts src==dst messages that bypassed the mesh.
 	LocalDeliveries uint64
 }
@@ -488,8 +488,8 @@ func (n *Network) deliverLoopback(now uint64) {
 
 func (n *Network) recordDelivery(pkt *Packet) {
 	n.Stats.DeliveredPkts[pkt.Class]++
-	n.Stats.NetLatency[pkt.Class].Observe(float64(pkt.NetLatency()))
-	n.Stats.TotalLatency[pkt.Class].Observe(float64(pkt.TotalLatency()))
+	n.Stats.NetLatency[pkt.Class].Observe(pkt.NetLatency())
+	n.Stats.TotalLatency[pkt.Class].Observe(pkt.TotalLatency())
 }
 
 // NextWake implements sim.Component: the network needs ticking while any

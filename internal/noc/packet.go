@@ -109,11 +109,6 @@ func (p *Packet) TotalLatency() uint64 { return p.DeliveredAt - p.EnqueuedAt }
 type flit struct {
 	pkt *Packet
 	seq int
-	// enqueuedAt is the cycle the flit entered the router buffer it last
-	// left (zero from an NI). A buffered flit's cycle lives in its VC's
-	// ring instead; on a link nothing reads this field but the checkpoint
-	// codec, which writes it.
-	enqueuedAt uint64
 }
 
 func (f flit) isHead() bool { return f.seq == 0 }

@@ -52,7 +52,7 @@ type vcBuf struct {
 }
 
 // head returns the oldest buffered flit.
-func (v *vcBuf) head() flit { return flit{pkt: v.pkt, seq: int(v.seq), enqueuedAt: v.headEnq} }
+func (v *vcBuf) head() flit { return flit{pkt: v.pkt, seq: int(v.seq)} }
 
 // push appends a flit that arrived at cycle at to the VC's ring.
 func (v *vcBuf) push(ring []uint64, at uint64) {
@@ -765,7 +765,7 @@ func (r *Router) recordArbitration(now uint64, cands []saCand, winner int, outDi
 func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
 	i := int(inDir)*r.vcs + vcIdx
 	vc := &r.in[i]
-	f := vc.head()
+	f, arrived := vc.head(), vc.headEnq
 	vc.pop(r.ring(i))
 	r.flitCount--
 	r.portFlits[inDir]--
@@ -794,7 +794,7 @@ func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
 	if f.isHead() {
 		f.pkt.Hops++
 		if r.obs != nil {
-			r.obs.Hop(now, r.id, f.pkt.ID, now-f.enqueuedAt, int(inDir), int(vc.outDir), int(vc.outVC))
+			r.obs.Hop(now, r.id, f.pkt.ID, now-arrived, int(inDir), int(vc.outDir), int(vc.outVC))
 		}
 	}
 	if f.isTail() {

@@ -117,15 +117,9 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 	}
 	w.U64(n.Stats.InjectedFlits)
 	w.U64(n.Stats.LocalDeliveries)
-	saveAcc := func(sum float64, count uint64, min, max float64) {
-		w.F64(sum)
-		w.U64(count)
-		w.F64(min)
-		w.F64(max)
-	}
 	for c := 0; c < NumClasses; c++ {
-		saveAcc(n.Stats.NetLatency[c].State())
-		saveAcc(n.Stats.TotalLatency[c].State())
+		n.Stats.NetLatency[c].SnapshotTo(w)
+		n.Stats.TotalLatency[c].SnapshotTo(w)
 	}
 	w.U64(n.pktID)
 	// Integrity cross-check totals (recomputed on restore).
@@ -174,7 +168,6 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		for _, ev := range l.flits {
 			w.U32(uint32(pktIdx[ev.f.pkt]))
 			w.Int(ev.f.seq)
-			w.U64(ev.f.enqueuedAt)
 			w.Int(ev.vc)
 			w.U64(ev.at)
 			w.Bool(ev.dup)
@@ -208,7 +201,6 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		w.U64(rt.Stats.SAGrants)
 		w.U64(rt.Stats.SAConflicts)
 		for d := Dir(0); d < NumDirs; d++ {
-			w.Int(0) // retired local-arbiter pointer, always zero
 			op := &rt.out[d]
 			w.Int(op.vaPtr)
 			w.Int(op.saPtr)
@@ -282,8 +274,8 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 	n.Stats.InjectedFlits = r.U64()
 	n.Stats.LocalDeliveries = r.U64()
 	for c := 0; c < NumClasses; c++ {
-		n.Stats.NetLatency[c].SetState(r.F64(), r.U64(), r.F64(), r.F64())
-		n.Stats.TotalLatency[c].SetState(r.F64(), r.U64(), r.F64(), r.F64())
+		n.Stats.NetLatency[c].RestoreFrom(r)
+		n.Stats.TotalLatency[c].RestoreFrom(r)
 	}
 	n.pktID = r.U64()
 	wantActivity := r.Int()
@@ -355,7 +347,6 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			var ev flitEvent
 			ev.f.pkt = pkt(r.U32())
 			ev.f.seq = r.Int()
-			ev.f.enqueuedAt = r.U64()
 			ev.vc = r.Int()
 			ev.at = r.U64()
 			ev.dup = r.Bool()
@@ -407,7 +398,6 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		rt.Stats.SAGrants = r.U64()
 		rt.Stats.SAConflicts = r.U64()
 		for d := Dir(0); d < NumDirs; d++ {
-			r.Int() // retired local-arbiter pointer
 			op := &rt.out[d]
 			op.vaPtr = r.Int()
 			op.saPtr = r.Int()

@@ -24,8 +24,8 @@ func TestVCBufRing(t *testing.T) {
 		// ...then drain a varying amount so hd lands on every slot.
 		drain := 1 + round%depth
 		for i := 0; i < drain; i++ {
-			if h := v.head(); h.seq != want || h.enqueuedAt != uint64(100+want) {
-				t.Fatalf("round %d: head seq %d at %d, want %d at %d", round, h.seq, h.enqueuedAt, want, 100+want)
+			if h := v.head(); h.seq != want || v.headEnq != uint64(100+want) {
+				t.Fatalf("round %d: head seq %d at %d, want %d at %d", round, h.seq, v.headEnq, want, 100+want)
 			}
 			v.pop(ring)
 			want++
@@ -33,8 +33,8 @@ func TestVCBufRing(t *testing.T) {
 	}
 	// Drain the rest.
 	for v.n > 0 {
-		if h := v.head(); h.seq != want || h.enqueuedAt != uint64(100+want) {
-			t.Fatalf("final drain: head seq %d at %d, want %d", h.seq, h.enqueuedAt, want)
+		if h := v.head(); h.seq != want || v.headEnq != uint64(100+want) {
+			t.Fatalf("final drain: head seq %d at %d, want %d", h.seq, v.headEnq, want)
 		}
 		v.pop(ring)
 		want++

@@ -3,14 +3,17 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math/bits"
+
+	"repro/internal/checkpoint"
 )
 
 // logBuckets is the fixed bucket count of LogHist: power-of-two boundaries
 // [0,1), [1,2), [2,4), ... cover latencies up to 2^30 cycles.
 const logBuckets = 32
 
-// LogHist is a streaming log-bucket latency histogram. It is value-typed
-// and allocation-free so Stats can hold arrays of them.
+// LogHist is the simulator's one histogram type. It is value-typed and
+// allocation-free so its users can hold arrays of them.
 type LogHist struct {
 	buckets [logBuckets]uint64
 	count   uint64
@@ -20,11 +23,7 @@ type LogHist struct {
 
 // Observe records one sample.
 func (h *LogHist) Observe(v uint64) {
-	b := 0
-	for bound := uint64(1); v >= bound && b < logBuckets-1; bound <<= 1 {
-		b++
-	}
-	h.buckets[b]++
+	h.buckets[min(bits.Len64(v), logBuckets-1)]++
 	h.count++
 	h.sum += v
 	if v > h.max {
@@ -83,6 +82,27 @@ func (h *LogHist) Quantile(q float64) uint64 {
 		}
 	}
 	return h.max
+}
+
+// SnapshotTo writes the histogram for a checkpoint.
+func (h *LogHist) SnapshotTo(w *checkpoint.Writer) {
+	for _, c := range h.buckets {
+		w.U64(c)
+	}
+	w.U64(h.count)
+	w.U64(h.sum)
+	w.U64(h.max)
+}
+
+// RestoreFrom overwrites h with a histogram written by SnapshotTo. A
+// decode failure is left in r's sticky error.
+func (h *LogHist) RestoreFrom(r *checkpoint.Reader) {
+	for i := range h.buckets {
+		h.buckets[i] = r.U64()
+	}
+	h.count = r.U64()
+	h.sum = r.U64()
+	h.max = r.U64()
 }
 
 // summary renders one line: count, mean, p50/p95 upper bounds, max.

@@ -181,94 +181,6 @@ func TestEngineQuiescent(t *testing.T) {
 	}
 }
 
-func TestAccumulator(t *testing.T) {
-	var a Accumulator
-	for _, v := range []float64{3, 1, 4, 1, 5} {
-		a.Observe(v)
-	}
-	if a.Count() != 5 || a.Sum() != 14 || a.Min() != 1 || a.Max() != 5 {
-		t.Fatalf("accumulator wrong: %+v", a)
-	}
-	if a.Mean() != 2.8 {
-		t.Fatalf("mean = %f", a.Mean())
-	}
-	var b Accumulator
-	b.Observe(10)
-	a.Merge(&b)
-	if a.Count() != 6 || a.Max() != 10 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
-	var empty Accumulator
-	a.Merge(&empty)
-	if a.Count() != 6 {
-		t.Fatal("merging empty changed count")
-	}
-	var c Accumulator
-	c.Merge(&a)
-	if c.Count() != 6 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []uint64{0, 1, 2, 3, 4, 8, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 100 {
-		t.Fatalf("max = %f", h.Max())
-	}
-	if q := h.Quantile(0.5); q == 0 {
-		t.Fatal("median bound is zero")
-	}
-	if h.Quantile(0) > h.Quantile(1) {
-		t.Fatal("quantiles not monotone")
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-	empty := NewHistogram(4)
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	samples := []uint64{5, 1, 9, 3, 7}
-	if p := Percentile(samples, 0); p != 1 {
-		t.Fatalf("p0 = %d", p)
-	}
-	if p := Percentile(samples, 100); p != 9 {
-		t.Fatalf("p100 = %d", p)
-	}
-	if p := Percentile(samples, 50); p != 5 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatal("nil samples")
-	}
-	// Original slice untouched.
-	if samples[0] != 5 {
-		t.Fatal("Percentile mutated input")
-	}
-}
-
 func TestDelayQueueProperty(t *testing.T) {
 	// Property: RunDue executes actions in (time, insertion) order.
 	f := func(times []uint16) bool {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -21,7 +20,7 @@ type Experiments = experiments.Options
 
 // cellRunner is the one place a grid cell becomes a simulation: it
 // builds the cell's Config, runs it under the wall-clock guard and panic
-// net, and collects the views the cell asked for. With o.Warm a
+// net, and collects the run's views (see System.cellResult). With o.Warm a
 // forkable cell restores a snapshot of its protocol-independent prefix,
 // built once per prefix key (single-flight across concurrent callers)
 // or loaded from o.Cache. Prefix construction is best-effort: a cell
@@ -74,9 +73,6 @@ func cellRunner(o experiments.RunOptions) func(experiments.Cell) (experiments.Ce
 			Seed: c.Seed, Protocol: c.Protocol, Workers: c.Workers,
 			Trace: c.TraceThreads > 0,
 		}
-		if c.Observe {
-			cfg.Obs = obs.NewRecorder(0)
-		}
 		if c.Faulted() {
 			// The watchdog turns a fault-induced deadlock into a prompt typed
 			// failure, in deterministic cycles, instead of burning the
@@ -96,7 +92,9 @@ func cellRunner(o experiments.RunOptions) func(experiments.Cell) (experiments.Ce
 			if e := prefix(c, cfg); e.snap != nil && e.cycle > 0 {
 				if sys, err := Restore(cfg, e.snap); err == nil {
 					res, err := sys.RunWithTimeout(o.Timeout)
-					return experiments.CellResult{Results: res, PrefixCycle: e.cycle}, err
+					r := sys.cellResult(res)
+					r.PrefixCycle = e.cycle
+					return r, err
 				}
 			}
 		}
@@ -111,24 +109,35 @@ func cellRunner(o experiments.RunOptions) func(experiments.Cell) (experiments.Ce
 		if err != nil {
 			return experiments.CellResult{}, err
 		}
-		r := experiments.CellResult{Results: res}
+		r := sys.cellResult(res)
 		if c.TraceThreads > 0 {
 			r.Timeline = sys.renderTimeline(c.TraceThreads, res.ROIFinish)
-		}
-		if c.Observe {
-			sys.observe(&r)
 		}
 		return r, nil
 	}
 }
 
+// cellResult wraps a finished run's results with the metrics collector's
+// BT/COH histograms and the kernel's handoff and queue-depth counters.
+func (s *System) cellResult(res metrics.Results) experiments.CellResult {
+	r := experiments.CellResult{Results: res, BT: s.Collector.BT, COH: s.Collector.COH}
+	for _, st := range s.Kernel.LockStats(s.Engine.Now()) {
+		r.Handoffs += st.Handoffs
+		r.MaxQueueDepth = max(r.MaxQueueDepth, st.MaxQueueDepth)
+	}
+	return r
+}
+
 // faultResult folds a fault cell's run into data: a degraded run is a
 // point of the sweep, not an error.
 func (s *System) faultResult(res metrics.Results, err error) experiments.CellResult {
-	r := experiments.CellResult{Results: res, Recovery: s.Kernel.RecoveryStats()}
+	var r experiments.CellResult
 	if err != nil {
-		r.Results, r.Failure = metrics.Results{}, err.Error()
+		r.Failure = err.Error()
+	} else {
+		r = s.cellResult(res)
 	}
+	r.Recovery = s.Kernel.RecoveryStats()
 	if s.Faults != nil {
 		r.Faults = s.Faults.SnapshotStats()
 	}
@@ -143,14 +152,4 @@ func (s *System) renderTimeline(threads int, roi uint64) string {
 		window = roi
 	}
 	return s.Timeline.RenderString(threads, window, max(window/60, 1))
-}
-
-// observe copies the observer's BT/COH histograms and the kernel's
-// handoff and queue-depth counters into r.
-func (s *System) observe(r *experiments.CellResult) {
-	r.BT, r.COH = s.Cfg.Obs.Stats.BT, s.Cfg.Obs.Stats.COH
-	for _, st := range s.Kernel.LockStats(s.Engine.Now()) {
-		r.Handoffs += st.Handoffs
-		r.MaxQueueDepth = max(r.MaxQueueDepth, st.MaxQueueDepth)
-	}
 }

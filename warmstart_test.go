@@ -3,11 +3,13 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/experiments"
 )
 
@@ -112,6 +114,58 @@ func TestWarmGridLoadsPrefixCache(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("cell %d: cache-loaded fork diverged:\nfirst:  %s\nsecond: %s", i, a, b)
 		}
+	}
+}
+
+// TestWarmGridReplacesOldPrefix is the prefix cache's version-skew
+// check: a prefix file that an older build wrote in format version 1
+// loads as a miss, so the runner rebuilds the prefix, Store replaces the
+// file in place (the prefix cycle, and so the file name, is unchanged)
+// and the cell's results equal a cold run's.
+func TestWarmGridReplacesOldPrefix(t *testing.T) {
+	c := experiments.Cell{Profile: detProfile(), Threads: 16, OCOR: true, Levels: 8, Seed: 7}
+	cold, _, err := experiments.RunGrid([]experiments.Cell{c}, experiments.GridOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, cycle, err := BuildPrefix(Config{Benchmark: c.Profile, Threads: c.Threads, OCOR: c.OCOR, Seed: c.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version is checked before any decoding, so the current payload
+	// under a version-1 header stands in for an older build's file.
+	dir := t.TempDir()
+	cache := DirPrefixCache(dir)
+	cache.Store(c.PrefixKey(), &checkpoint.Snapshot{Version: 1, Data: snap.Data}, cycle)
+	files, _ := filepath.Glob(filepath.Join(dir, "prefix-*.ckpt"))
+	if len(files) != 1 {
+		t.Fatalf("stored %d prefix files, want 1", len(files))
+	}
+	if _, err := checkpoint.ReadFile(files[0]); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("reading the version-1 file: got %v, want checkpoint.ErrVersion", err)
+	}
+	if _, _, ok := cache.Load(c.PrefixKey()); ok {
+		t.Fatal("a version-1 prefix file loaded as a hit")
+	}
+
+	warm, st, err := experiments.RunGrid([]experiments.Cell{c}, experiments.GridOptions{Warm: true, Cache: cache}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Forked != 1 || warm[0].PrefixCycle != cycle {
+		t.Fatalf("cell did not fork from a rebuilt prefix at cycle %d: stats %+v, prefix cycle %d", cycle, st, warm[0].PrefixCycle)
+	}
+	if again, _ := filepath.Glob(filepath.Join(dir, "prefix-*.ckpt")); len(again) != 1 || again[0] != files[0] {
+		t.Fatalf("prefix files after the rebuild: %v, want %s replaced in place", again, files[0])
+	}
+	got, err := checkpoint.ReadFile(files[0])
+	if err != nil || got.Version != checkpoint.Version || !bytes.Equal(got.Data, snap.Data) {
+		t.Fatalf("replaced prefix file: err %v; want version %d with the rebuilt prefix", err, checkpoint.Version)
+	}
+	cj, _ := json.Marshal(cold[0].Results)
+	wj, _ := json.Marshal(warm[0].Results)
+	if !bytes.Equal(cj, wj) {
+		t.Fatalf("fork from the rebuilt prefix diverged:\ncold: %s\nwarm: %s", cj, wj)
 	}
 }
 
