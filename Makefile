@@ -68,16 +68,14 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/noc/ .
 
 # bench-json regenerates the Fig. 2/10/11 experiments under the benchmark
-# harness and writes wall-clock + allocs/op plus per-mesh tick-cost,
-# sparse mesh-scaling, intra-run tick scaling and checkpoint_sweep blocks
-# to BENCH_8.json. The committed record comes from a 2-CPU host with
-# tick_scaling at workers 1 and 2, so no recorded worker count exceeds the
-# CPUs and the report carries no caveat. It takes no -tickbase/-sparsebase
-# reference points: the earlier ones were measured on a single-CPU
-# container and do not compare across hosts (BENCH_7.json keeps them; see
-# EXPERIMENTS.md "Dispatch floor" and "Giant meshes").
+# harness and writes their wall-clock and allocs/op, with the host's Go
+# version, platform and CPU count, to BENCH_9.json. The NoC tick,
+# mesh-scaling, tick-scaling, lock-arena and checkpoint blocks of
+# BENCH_4.json to BENCH_8.json are no longer written: bench-smoke gates the
+# NoC and checkpoint benchmarks, cmd/lockarena prints the arena report,
+# and the bench's parallel-w2 and fleet-sweep workloads time the rest.
 bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_8.json -scaleworkers 1,2
+	$(GO) run ./cmd/benchjson -o BENCH_9.json
 
 # bench-smoke is the CI performance gate: the steady-state step benchmark,
 # its evicting variant (per 50-cycle window, with L1 write-backs in it)

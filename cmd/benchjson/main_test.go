@@ -9,52 +9,18 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden schema file")
 
-// sampleReport builds a report with every optional block populated and
-// every slice non-empty, so the marshaled JSON exposes the full key set
-// (omitempty fields included).
+// sampleReport builds a report with the optional caveat set and one
+// record, so the marshaled JSON exposes the full key set (omitempty
+// fields included).
 func sampleReport() report {
-	hist := experiments.HistSummary{Count: 1, Mean: 1, P50: 1, P95: 1, P99: 1, Max: 1}
-	cellSample := experiments.ArenaCell{
-		Bench: "body", ROIFinish: 1, TotalBT: 1, TotalCOH: 1, Acquisitions: 1,
-		SpinFraction: 0.5, Handoffs: 1, MaxQueueDepth: 1, BT: hist, COH: hist,
-	}
 	return report{
 		GoVersion: "go0.0", GOOS: "linux", GOARCH: "amd64", CPUs: 1,
 		Threads: 64, Scale: 0.25, Quick: true, Workers: 1, Caveat: "sample",
 		Records: []record{{Name: "Fig2", Iterations: 1, WallSeconds: 1, AllocsPerOp: 1, BytesPerOp: 1}},
-		Tick: []tickRecord{{
-			Mesh: "8x8", Workers: 1, Iterations: 1, NsPerOp: 1,
-			AllocsPerOp: 1, BaselineNs: 1, SpeedupVs: 1,
-		}},
-		MeshScaling: []meshScalingRecord{{
-			Mesh: "8x8", Iterations: 1, FastForwardNs: 1,
-			AllocsPerOp: 1, BaselineNs: 1, SpeedupVs: 1,
-		}},
-		Scaling: []scalingPoint{{Workers: 1, WallSeconds: 1, SpeedupVs1: 1}},
-		Arena: &arenaBlock{
-			WallSeconds: 1,
-			Report: experiments.ArenaReport{
-				Threads: 16, Seed: 1, Scale: 0.1,
-				Benches: []string{"body"}, Protocols: []string{"ticket"},
-				Leaderboard: []experiments.ArenaEntry{{
-					Rank: 1, Protocol: "ticket", OCOR: true, TotalROI: 1,
-					TotalBT: 1, TotalCOH: 1, Handoffs: 1, MaxQueueDepth: 1,
-					BT: hist, COH: hist, Cells: []experiments.ArenaCell{cellSample},
-				}},
-			},
-		},
-		Checkpoint: &checkpointSweepBlock{
-			GridCells: 10, UniqueCells: 6, PrefixesBuilt: 1,
-			PrefixCyclesSkipped: 1, WarmupFraction: 0.01,
-			ColdCellsPerSec: 1, WarmCellsPerSec: 1.5, Speedup: 1.5,
-			SnapshotBytes: 1, SnapshotNs: 1, RestoreNs: 1, RoundTripAllocs: 1,
-		},
 	}
 }
 

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -110,6 +111,9 @@ func main() {
 	}
 
 	out := os.Stdout
+	// tables collects the CSV of every experiment that ran; -csv writes
+	// them all at the end.
+	tables := map[string][][]string{}
 	if all || want["fig2"] {
 		experiments.PrintFig2(out, experiments.Fig2(suite))
 		fmt.Fprintln(out)
@@ -145,6 +149,7 @@ func main() {
 		}
 		experiments.PrintFig15(out, rows)
 		fmt.Fprintln(out)
+		tables["fig15.csv"] = export.Fig15CSV(rows)
 	}
 	if all || want["fig16"] {
 		rows, err := experiments.Fig16(opt, progress)
@@ -153,6 +158,7 @@ func main() {
 		}
 		experiments.PrintFig16(out, rows)
 		fmt.Fprintln(out)
+		tables["fig16.csv"] = export.Fig16CSV(rows)
 	}
 	if all || want["table3"] {
 		experiments.PrintTable3(out, experiments.Table3(suite))
@@ -163,15 +169,14 @@ func main() {
 	experiments.PrintRuntime(os.Stderr, rt)
 	if *csvDir != "" {
 		if suite != nil {
-			names, err := export.WriteSuite(*csvDir, suite)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d CSV files to %s\n", len(names), *csvDir)
+			maps.Copy(tables, export.SuiteTables(suite))
 		}
-		if err := export.WriteRuntime(*csvDir, rt); err != nil {
+		tables["runtime.csv"] = export.RuntimeCSV(rt)
+		names, err := export.WriteTables(*csvDir, tables)
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "wrote %d CSV files to %s\n", len(names), *csvDir)
 	}
 }
 

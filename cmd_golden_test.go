@@ -13,9 +13,10 @@ import (
 // against golden files: the lock arena's JSON leaderboard, the fault
 // sweep's degradation curve (one healthy and one watchdog-tripping drop
 // rate, so failed runs are pinned as data), the Fig. 10/15/16 and
-// Table 3 report (and the error an unknown -run name gets), and the sweep
-// CSV — as a plain grid, and as a -checkpoint-dir run followed by a
-// resume over the same directory.
+// Table 3 report (and the error an unknown -run name gets) with the
+// Fig. 15 and Fig. 16 CSV files its -csv flag writes, and the sweep CSV —
+// as a plain grid, and as a -checkpoint-dir run followed by a resume over
+// the same directory.
 // Every command runs at -j 1 and -j 4 against the same golden. The
 // commands are built from this checkout and driven only through their
 // flags, so the goldens hold across any refactor of the harness behind
@@ -44,15 +45,30 @@ func TestCommandGoldens(t *testing.T) {
 	for _, g := range []struct {
 		golden string
 		args   []string
+		csv    []string // files the command writes under -csv, each pinned as <command>-<file>
 	}{
-		{"lockarena.golden", []string{"lockarena", "-protocols", "mcs,cna", "-benches", "body,can", "-scale", "0.05", "-v=false"}},
-		{"faultsweep.golden", []string{"faultsweep", "-rates", "0,0.05", "-recovery=false", "-scale", "0.05", "-v=false"}},
-		{"experiments.golden", []string{"experiments", "-run", "fig10,fig15,fig16,table3", "-quick", "-scale", "0.02", "-v=false"}},
-		{"sweep.golden", sweep},
+		{"lockarena.golden", []string{"lockarena", "-protocols", "mcs,cna", "-benches", "body,can", "-scale", "0.05", "-v=false"}, nil},
+		{"faultsweep.golden", []string{"faultsweep", "-rates", "0,0.05", "-recovery=false", "-scale", "0.05", "-v=false"}, nil},
+		{"experiments.golden", []string{"experiments", "-run", "fig10,fig15,fig16,table3", "-quick", "-scale", "0.02", "-v=false"},
+			[]string{"fig15.csv", "fig16.csv"}},
+		{"sweep.golden", sweep, nil},
 	} {
 		for _, j := range []string{"1", "4"} {
 			t.Run(g.args[0]+"/j="+j, func(t *testing.T) {
-				checkGolden(t, g.golden, run(t, append(g.args, "-j", j)...))
+				args := append(g.args, "-j", j)
+				var dir string
+				if g.csv != nil {
+					dir = t.TempDir()
+					args = append(args, "-csv", dir)
+				}
+				checkGolden(t, g.golden, run(t, args...))
+				for _, name := range g.csv {
+					got, err := os.ReadFile(filepath.Join(dir, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkGolden(t, g.args[0]+"-"+name, got)
+				}
 			})
 		}
 	}

@@ -156,21 +156,10 @@ func RuntimeCSV(s experiments.RuntimeStats) [][]string {
 	}
 }
 
-// WriteRuntime writes the allocation/GC counters to dir/runtime.csv.
-func WriteRuntime(dir string, s experiments.RuntimeStats) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeFile(dir, "runtime.csv", RuntimeCSV(s))
-}
-
-// WriteSuite writes every figure/table CSV derivable from a suite run into
-// dir, creating it if needed. Returns the file names written.
-func WriteSuite(dir string, rs []experiments.BenchResult) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	files := map[string][][]string{
+// SuiteTables renders every figure/table CSV derivable from a suite run,
+// keyed by file name.
+func SuiteTables(rs []experiments.BenchResult) map[string][][]string {
+	return map[string][][]string{
 		"suite.csv":  SuiteCSV(rs),
 		"fig2.csv":   Fig2CSV(experiments.Fig2(rs)),
 		"fig11.csv":  Fig11CSV(experiments.Fig11(rs)),
@@ -179,8 +168,16 @@ func WriteSuite(dir string, rs []experiments.BenchResult) ([]string, error) {
 		"fig14.csv":  Fig14CSV(experiments.Fig14(rs)),
 		"table3.csv": Table3CSV(experiments.Table3(rs)),
 	}
+}
+
+// WriteTables writes each table to dir/<its name>, creating dir if needed.
+// Returns the file names written.
+func WriteTables(dir string, tables map[string][][]string) ([]string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
 	var names []string
-	for name, rows := range files {
+	for name, rows := range tables {
 		if err := writeFile(dir, name, rows); err != nil {
 			return names, fmt.Errorf("export: %s: %w", name, err)
 		}

@@ -62,7 +62,7 @@ func parse(t *testing.T, path string) [][]string {
 func TestWriteSuite(t *testing.T) {
 	dir := t.TempDir()
 	rs := sampleResults()
-	names, err := WriteSuite(dir, rs)
+	names, err := WriteTables(dir, SuiteTables(rs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWriteSuiteBadDir(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteSuite(filepath.Join(blocker, "sub"), sampleResults()); err == nil {
+	if _, err := WriteTables(filepath.Join(blocker, "sub"), SuiteTables(sampleResults())); err == nil {
 		t.Fatal("expected error for unusable directory")
 	}
 }

@@ -23,8 +23,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -170,77 +168,6 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParsePlan parses a comma-separated key=value fault spec, e.g.
-//
-//	drop=0.01,wakeloss=0.1,seed=7
-//
-// Keys: drop, dup, delay, delaycycles, freeze, freezecycles, wakeloss,
-// corrupt, seed, mask. An empty spec returns the zero plan.
-func ParsePlan(spec string) (Plan, error) {
-	var p Plan
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return p, fmt.Errorf("fault: bad field %q (want key=value)", field)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		switch key {
-		case "drop", "dup", "delay", "freeze", "wakeloss", "corrupt":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return p, fmt.Errorf("fault: bad %s value %q", key, val)
-			}
-			switch key {
-			case "drop":
-				p.DropRate = f
-			case "dup":
-				p.DupRate = f
-			case "delay":
-				p.DelayRate = f
-			case "freeze":
-				p.FreezeRate = f
-			case "wakeloss":
-				p.WakeLossRate = f
-			case "corrupt":
-				p.CorruptRate = f
-			}
-		case "delaycycles", "freezecycles", "seed", "mask":
-			u, err := strconv.ParseUint(val, 0, 64)
-			if err != nil {
-				return p, fmt.Errorf("fault: bad %s value %q", key, val)
-			}
-			switch key {
-			case "delaycycles":
-				p.DelayCycles = u
-			case "freezecycles":
-				p.FreezeCycles = u
-			case "seed":
-				p.Seed = u
-			case "mask":
-				if u > math.MaxUint16 {
-					return p, fmt.Errorf("fault: mask %v exceeds 16 bits", u)
-				}
-				p.ClassMask = uint16(u)
-			}
-		default:
-			return p, fmt.Errorf("fault: unknown key %q", key)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
 }
 
 // Stats counts injected faults. All counters are updated atomically:

@@ -44,31 +44,6 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("drop=0.01, dup=0.02,delay=0.03,delaycycles=32,freeze=0.001,freezecycles=512,wakeloss=0.1,corrupt=0.05,seed=42,mask=0xc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Plan{Seed: 42, DropRate: 0.01, DupRate: 0.02, DelayRate: 0.03,
-		DelayCycles: 32, FreezeRate: 0.001, FreezeCycles: 512,
-		WakeLossRate: 0.1, CorruptRate: 0.05, ClassMask: 0xc}
-	if p.Seed != want.Seed || p.DropRate != want.DropRate || p.DupRate != want.DupRate ||
-		p.DelayRate != want.DelayRate || p.DelayCycles != want.DelayCycles ||
-		p.FreezeRate != want.FreezeRate || p.FreezeCycles != want.FreezeCycles ||
-		p.WakeLossRate != want.WakeLossRate || p.CorruptRate != want.CorruptRate ||
-		p.ClassMask != want.ClassMask || len(p.Events) != 0 {
-		t.Fatalf("parsed %+v, want %+v", p, want)
-	}
-	if p, err := ParsePlan(""); err != nil || p.Enabled() {
-		t.Fatalf("empty spec: plan %+v err %v", p, err)
-	}
-	for _, bad := range []string{"drop", "drop=x", "bogus=1", "drop=0.9,dup=0.9", "mask=70000"} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-}
-
 // TestFlitFateDeterministic: the fate draw must be a pure function of
 // (seed, pktID, link) — same inputs, same fate, across injector
 // instances, and independent of flit seq / cycle.

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// ThreadState is the locking-path state of a thread, reported to trace and
-// metrics listeners.
+// ThreadState is the locking-path state of a thread, reported to the
+// recorder.
 type ThreadState uint8
 
 // Thread states on the locking path.
@@ -49,24 +49,14 @@ type AcquireEvent struct {
 	Retries, Sleeps int
 }
 
-// ReleaseEvent describes one critical-section completion.
-type ReleaseEvent struct {
-	Thread, Lock       int
-	Acquired, Released uint64
-}
-
-// Listener receives lock lifecycle events.
+// Listener receives each completed lock acquisition.
 type Listener interface {
 	Acquired(ev AcquireEvent)
-	Released(ev ReleaseEvent)
-	StateChanged(thread int, st ThreadState, now uint64)
 }
 
 type nopListener struct{}
 
-func (nopListener) Acquired(AcquireEvent)                 {}
-func (nopListener) Released(ReleaseEvent)                 {}
-func (nopListener) StateChanged(int, ThreadState, uint64) {}
+func (nopListener) Acquired(AcquireEvent) {}
 
 // acquireCtx is the state of one in-progress lock acquisition.
 type acquireCtx struct {
@@ -232,7 +222,6 @@ func (c *Client) setState(now uint64, st ThreadState) {
 	if c.obs != nil {
 		c.obs.ThreadState(now, c.node, uint8(st))
 	}
-	c.listener.StateChanged(c.node, st, now)
 }
 
 // Lock begins a queue-spinlock acquisition of lock; cb runs when the thread
@@ -614,6 +603,5 @@ func (c *Client) Unlock(now uint64) {
 	if c.obs != nil {
 		c.obs.Released(now, c.node, lock, now-c.acquired)
 	}
-	c.listener.Released(ReleaseEvent{Thread: c.node, Lock: lock, Acquired: c.acquired, Released: now})
 	c.setState(now, StateIdle)
 }

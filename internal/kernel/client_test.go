@@ -188,7 +188,7 @@ func TestClientUnlockSequence(t *testing.T) {
 func TestClientCOHAccounting(t *testing.T) {
 	h := newCliHarness(testCfg())
 	var ev *AcquireEvent
-	h.cli.SetListener(listenerFuncs{acq: func(e AcquireEvent) { ev = &e }})
+	h.cli.SetListener(listenerFunc(func(e AcquireEvent) { ev = &e }))
 	h.held = 100 // cumulative hold time at Lock()
 	h.cli.Lock(0, 3, nil)
 	h.take()

@@ -64,7 +64,7 @@ func (h *harness) run(t testing.TB, maxCycles uint64, done func() bool) {
 func TestUncontendedLock(t *testing.T) {
 	h := newHarness(t, 4, 4, false)
 	var got *AcquireEvent
-	h.ks.SetListener(listenerFuncs{acq: func(ev AcquireEvent) { got = &ev }})
+	h.ks.SetListener(listenerFunc(func(ev AcquireEvent) { got = &ev }))
 	acquired := false
 	h.ks.Lock(0, 0, 7, func(now uint64) { acquired = true })
 	h.run(t, 10000, func() bool { return acquired })
@@ -134,11 +134,11 @@ func TestSleepAndWake(t *testing.T) {
 	h.run(t, 10000, func() bool { return acquired0 })
 
 	var ev1 *AcquireEvent
-	h.ks.SetListener(listenerFuncs{acq: func(ev AcquireEvent) {
+	h.ks.SetListener(listenerFunc(func(ev AcquireEvent) {
 		if ev.Thread == 1 {
 			ev1 = &ev
 		}
-	}})
+	}))
 	acquired1 := false
 	h.ks.Lock(h.e.Now(), 1, lock, func(now uint64) { acquired1 = true })
 	// Wait until thread 1 is asleep.
@@ -173,7 +173,7 @@ func TestCOHDecomposition(t *testing.T) {
 	h.run(t, 10000, func() bool { return acquired0 })
 
 	var ev *AcquireEvent
-	h.ks.SetListener(listenerFuncs{acq: func(e AcquireEvent) { ev = &e }})
+	h.ks.SetListener(listenerFunc(func(e AcquireEvent) { ev = &e }))
 	h.ks.Lock(h.e.Now(), 1, lock, nil)
 	// Hold for 300 more cycles, then release.
 	release := h.e.Now() + 300
@@ -313,28 +313,10 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 }
 
-// listenerFuncs adapts closures to the Listener interface.
-type listenerFuncs struct {
-	acq   func(AcquireEvent)
-	rel   func(ReleaseEvent)
-	state func(int, ThreadState, uint64)
-}
+// listenerFunc adapts a closure to the Listener interface.
+type listenerFunc func(AcquireEvent)
 
-func (l listenerFuncs) Acquired(ev AcquireEvent) {
-	if l.acq != nil {
-		l.acq(ev)
-	}
-}
-func (l listenerFuncs) Released(ev ReleaseEvent) {
-	if l.rel != nil {
-		l.rel(ev)
-	}
-}
-func (l listenerFuncs) StateChanged(th int, st ThreadState, now uint64) {
-	if l.state != nil {
-		l.state(th, st, now)
-	}
-}
+func (f listenerFunc) Acquired(ev AcquireEvent) { f(ev) }
 
 // BenchmarkLockHandoffs measures lock-protocol throughput: a contended
 // chain of acquisitions over the NoC.

@@ -72,12 +72,6 @@ func (c *Collector) Acquired(ev kernel.AcquireEvent) {
 	c.COH.Observe(ev.COH)
 }
 
-// Released implements kernel.Listener.
-func (c *Collector) Released(kernel.ReleaseEvent) {}
-
-// StateChanged implements kernel.Listener.
-func (c *Collector) StateChanged(int, kernel.ThreadState, uint64) {}
-
 func (c *Collector) thread(id int) *ThreadMetrics {
 	tm, ok := c.perThread[id]
 	if !ok {

@@ -93,14 +93,6 @@ func TestCollectorInvariant(t *testing.T) {
 	}
 }
 
-func TestListenerInterface(t *testing.T) {
-	// Collector must satisfy kernel.Listener; the nop methods must not
-	// panic.
-	var l kernel.Listener = NewCollector()
-	l.Released(kernel.ReleaseEvent{})
-	l.StateChanged(0, kernel.StateIdle, 0)
-}
-
 func TestJainFairness(t *testing.T) {
 	c := NewCollector()
 	// Perfectly even: two threads with identical mean BT.

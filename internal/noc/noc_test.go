@@ -125,6 +125,56 @@ func TestMultiFlitDelivery(t *testing.T) {
 	}
 }
 
+// TestZeroLoadLatency pins the idle-mesh latency of every ordered pair on
+// an 8x8 mesh against its closed form. A packet that crosses h routers
+// (Manhattan distance + 1) pays one router cycle per router and one link
+// traversal per hop, the injection and ejection links included: a 1-flit
+// packet's NetLatency is (h+1)*LinkLatency + h. The body flits of an
+// 8-flit packet follow its head one per cycle, adding 7 cycles at
+// LinkLatency 1; at LinkLatency 3 the credit round trip outgrows the
+// 4-flit VC and the tail arrives 10 cycles after the head.
+func TestZeroLoadLatency(t *testing.T) {
+	for _, routing := range []Routing{RoutingXY, RoutingYX} {
+		for _, lc := range []struct{ link, tail uint64 }{{1, 7}, {3, 10}} {
+			cfg := testConfig(8, 8, false)
+			cfg.Routing = routing
+			cfg.LinkLatency = int(lc.link)
+			n := MustNetwork(cfg)
+			var got *Packet
+			for i := 0; i < cfg.Nodes(); i++ {
+				n.SetSink(i, func(now uint64, pkt *Packet) { got = pkt })
+			}
+			e := sim.NewEngine()
+			e.Register(n)
+			for src := 0; src < cfg.Nodes(); src++ {
+				for dst := 0; dst < cfg.Nodes(); dst++ {
+					if src == dst {
+						continue
+					}
+					h := uint64(cfg.ManhattanHops(src, dst))
+					for _, class := range []Class{ClassCtrl, ClassData} {
+						got = nil
+						n.Send(e.Now(), n.NewPacket(src, dst, class, VNetRequest, nil))
+						e.RunUntil(func() bool { return !n.Busy() })
+						if got == nil {
+							t.Fatalf("%v link=%d %d->%d %v: not delivered", routing, lc.link, src, dst, class)
+						}
+						want := (h+1)*lc.link + h
+						if got.Size > 1 {
+							want += lc.tail
+						}
+						if got.Hops != int(h) || got.NetLatency() != want {
+							t.Fatalf("%v link=%d %d->%d %v: %d routers in %d cycles, want %d in %d",
+								routing, lc.link, src, dst, class, got.Hops, got.NetLatency(), h, want)
+						}
+						n.FreePacket(got)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLocalLoopback(t *testing.T) {
 	n := MustNetwork(testConfig(2, 2, false))
 	var got *Packet

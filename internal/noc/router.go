@@ -105,7 +105,10 @@ type RouterStats struct {
 // Router is a 2-stage pipelined speculative VC router. Stage one performs
 // route computation, VC allocation and switch allocation in parallel
 // (a flit committed into a buffer at cycle t becomes eligible at t+1);
-// stage two is switch traversal onto the output link.
+// stage two is switch traversal onto the output link. On an idle mesh a
+// hop therefore costs one router cycle plus LinkLatency: a 1-flit packet
+// crossing h routers has NetLatency (h+1)*LinkLatency + h
+// (TestZeroLoadLatency).
 type Router struct {
 	cfg  *Config
 	id   int
@@ -662,6 +665,10 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 				}
 			}
 		} else {
+			// Every bidder counted here is live (a candidate is only ever
+			// granted at its own output), so this output is contested even
+			// though the baseline's scan stops at its first bidder.
+			r.Stats.SAConflicts++
 			var winKey uint32
 			bidders := 0
 			p := op.saPtr % n
@@ -692,9 +699,6 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 				if bidders == bidCount[outDir] {
 					break
 				}
-			}
-			if bidders > 1 {
-				r.Stats.SAConflicts++
 			}
 		}
 		if winner == -1 {

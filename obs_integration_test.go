@@ -129,3 +129,35 @@ func TestPerfettoExportIntegration(t *testing.T) {
 		t.Fatalf("breakdown missing fields:\n%s", sb.String())
 	}
 }
+
+// TestSAConflictsMatchArbWins checks the router's contested-allocation
+// counter against the recorder: every output that sees more than one
+// switch bidder in a cycle emits one SAWin event, so the summed
+// RouterStats.SAConflicts must equal the recorder's ArbWins under both
+// arbiters. The baseline's round-robin scan stops at its first bidder, so
+// a count taken from that scan would read 0 there.
+func TestSAConflictsMatchArbWins(t *testing.T) {
+	for _, ocor := range []bool{false, true} {
+		rec := obs.NewRecorder(1)
+		sys, err := New(Config{Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var conflicts, wins uint64
+		for _, r := range sys.Net.Routers {
+			conflicts += r.Stats.SAConflicts
+		}
+		for _, w := range rec.Stats.ArbWins {
+			wins += w
+		}
+		if wins == 0 {
+			t.Fatalf("ocor=%v: no contested switch allocation; the workload no longer exercises the count", ocor)
+		}
+		if conflicts != wins {
+			t.Errorf("ocor=%v: routers count %d SA conflicts, recorder saw %d contested wins", ocor, conflicts, wins)
+		}
+	}
+}
