@@ -138,7 +138,7 @@ func TestPerfettoExportIntegration(t *testing.T) {
 // a count taken from that scan would read 0 there.
 func TestSAConflictsMatchArbWins(t *testing.T) {
 	for _, ocor := range []bool{false, true} {
-		rec := obs.NewRecorder(1)
+		rec := obs.NewRecorder(1) // Stats see every event, so the ring need hold none
 		sys, err := New(Config{Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7, Obs: rec})
 		if err != nil {
 			t.Fatal(err)
