@@ -26,6 +26,19 @@ func TestCellKeyPinned(t *testing.T) {
 	}
 }
 
+// TestCellKeyWorkersZero checks that a cell with Workers 0, which the
+// commands build, keys like Workers 1, the -workers default that existing
+// spools and prefix caches were written with: both run sequentially.
+func TestCellKeyWorkersZero(t *testing.T) {
+	zero := experiments.Cell{Profile: detProfile(), Threads: 16, OCOR: true, Levels: 8, Seed: 7}
+	one := zero
+	one.Workers = 1
+	if zero.Key() != one.Key() || zero.PrefixKey() != one.PrefixKey() {
+		t.Fatalf("Workers 0 keys %q / %q, Workers 1 keys %q / %q",
+			zero.Key(), zero.PrefixKey(), one.Key(), one.PrefixKey())
+	}
+}
+
 // TestKnobCellsRunCold puts a trace and a fault cell beside a plain cell
 // in one warm grid. They share the plain cell's prefix key, but a
 // restored platform would lose the prefix's timeline regions and

@@ -4,27 +4,24 @@
 // uses it to track simulator performance across commits; each figure is
 // regenerated from scratch, so a record reflects the full cost of that
 // experiment rather than a memoised suite. The record carries the host's
-// Go version, platform and CPU count beside the per-figure numbers; when
-// -workers exceeds the CPUs, the report says so in a "caveat" field.
+// Go version, platform and CPU count beside the per-figure numbers.
 //
 // Usage:
 //
 //	benchjson                       # writes BENCH_9.json
-//	benchjson -o perf.json -scale 0.5 -workers 4
+//	benchjson -o perf.json -scale 0.5
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
 
-	"repro" // installs the platform cell runner into the experiments package
-
+	_ "repro" // installs the platform cell runner into the experiments package
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/par"
 )
 
 // record is one benchmark measurement in the JSON output.
@@ -38,43 +35,26 @@ type record struct {
 
 // report is the top-level JSON document.
 type report struct {
-	GoVersion string  `json:"go_version"`
-	GOOS      string  `json:"goos"`
-	GOARCH    string  `json:"goarch"`
-	CPUs      int     `json:"cpus"`
-	Threads   int     `json:"threads"`
-	Scale     float64 `json:"scale"`
-	Quick     bool    `json:"quick"`
-	Workers   int     `json:"workers"`
-	// Caveat is set when -workers exceeds the host's CPUs: the figure
-	// timings then reflect time-slicing, not parallelism, and must not be
-	// compared across hosts.
-	Caveat  string   `json:"caveat,omitempty"`
-	Records []record `json:"benchmarks"`
+	GoVersion string   `json:"go_version"`
+	GOOS      string   `json:"goos"`
+	GOARCH    string   `json:"goarch"`
+	CPUs      int      `json:"cpus"`
+	Threads   int      `json:"threads"`
+	Scale     float64  `json:"scale"`
+	Quick     bool     `json:"quick"`
+	Records   []record `json:"benchmarks"`
 }
 
 func main() {
+	run := cli.Register("benchjson", cli.Threads|cli.Seed|cli.Scale,
+		cli.Run{Threads: 64, Seed: 1, Scale: 0.25})
 	var (
-		out     = flag.String("o", "BENCH_9.json", "output JSON file")
-		threads = flag.Int("threads", 64, "thread/core count")
-		scale   = flag.Float64("scale", 0.25, "iteration scale factor")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		quick   = flag.Bool("quick", true, "use the representative benchmark subset")
-		workers = flag.Int("workers", 1, "intra-simulation tick worker count for the per-figure benchmarks")
+		out   = flag.String("o", "BENCH_9.json", "output JSON file")
+		quick = flag.Bool("quick", true, "use the representative benchmark subset")
 	)
-	flag.Parse()
+	run.Parse()
 
-	// The benchmarks must run against the real platform, not a test fake.
-	_ = repro.Catalog()
-
-	if err := (&repro.Config{Threads: *threads, Workers: *workers}).Validate(); err != nil {
-		fatal(err)
-	}
-	caveat := par.WorkerCaveat(*workers)
-	if caveat != "" {
-		fmt.Fprintln(os.Stderr, "benchjson: warning:", caveat)
-	}
-	opt := experiments.Options{Threads: *threads, Seed: *seed, Scale: *scale, Quick: *quick, Workers: *workers}
+	opt := experiments.Options{Threads: run.Threads, Seed: run.Seed, Scale: run.Scale, Quick: *quick}
 	cases := []struct {
 		name string
 		fn   func() error
@@ -106,11 +86,9 @@ func main() {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
-		Threads:   *threads,
-		Scale:     *scale,
+		Threads:   run.Threads,
+		Scale:     run.Scale,
 		Quick:     *quick,
-		Workers:   *workers,
-		Caveat:    caveat,
 	}
 	for _, c := range cases {
 		var runErr error
@@ -124,7 +102,7 @@ func main() {
 			}
 		})
 		if runErr != nil {
-			fatal(fmt.Errorf("%s: %w", c.name, runErr))
+			run.Fatal(fmt.Errorf("%s: %w", c.name, runErr))
 		}
 		rec := record{
 			Name:        c.name,
@@ -138,18 +116,8 @@ func main() {
 		rep.Records = append(rep.Records, rec)
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatal(err)
+	if err := cli.WriteJSON(*out, rep); err != nil {
+		run.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %s\n", *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
 }

@@ -13,13 +13,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden schema file")
 
-// sampleReport builds a report with the optional caveat set and one
-// record, so the marshaled JSON exposes the full key set (omitempty
-// fields included).
+// sampleReport builds a report with one record, so the marshaled JSON
+// exposes the full key set.
 func sampleReport() report {
 	return report{
 		GoVersion: "go0.0", GOOS: "linux", GOARCH: "amd64", CPUs: 1,
-		Threads: 64, Scale: 0.25, Quick: true, Workers: 1, Caveat: "sample",
+		Threads: 64, Scale: 0.25, Quick: true,
 		Records: []record{{Name: "Fig2", Iterations: 1, WallSeconds: 1, AllocsPerOp: 1, BytesPerOp: 1}},
 	}
 }

@@ -18,8 +18,7 @@ import (
 	"strings"
 
 	"repro" // also installs the platform cell runner into the experiments package
-	"repro/internal/par"
-
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/obs"
@@ -30,41 +29,30 @@ import (
 var known = []string{"fig2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table3", "all"}
 
 func main() {
+	run := cli.Register("experiments", cli.Threads|cli.Seed|cli.Scale|cli.Protocol|cli.Jobs,
+		cli.Run{Threads: 64, Seed: 1, Scale: 1})
 	var (
 		runList  = flag.String("run", "all", "comma-separated experiments: "+strings.Join(known, ","))
-		threads  = flag.Int("threads", 64, "thread/core count for suite experiments")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		scale    = flag.Float64("scale", 1.0, "iteration scale factor (smaller = faster)")
 		quick    = flag.Bool("quick", false, "run a representative benchmark subset")
-		jobs     = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", true, "print per-run progress")
 		csvDir   = flag.String("csv", "", "also write figure/table CSV files into this directory")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		traceOut = flag.String("trace", "", "write a Perfetto trace of the Fig. 10 bodytrack OCOR run to this file")
-		workers  = flag.Int("workers", 1, "intra-simulation worker count per run; composes with -j (0 jobs = GOMAXPROCS/workers)")
-		proto    = flag.String("protocol", "", "kernel lock protocol for every run (empty = default queue spinlock)")
 	)
-	flag.Parse()
+	run.Parse()
 
-	if c := par.WorkerCaveat(*workers); c != "" {
-		fmt.Fprintln(os.Stderr, "experiments: warning:", c)
-	}
 	want := map[string]bool{}
-	for _, name := range strings.Split(*runList, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		if name == "" {
-			continue
-		}
+	for _, name := range cli.List(strings.ToLower(*runList)) {
 		if !slices.Contains(known, name) {
-			fatal(fmt.Errorf("unknown -run name %q (known: %s)", name, strings.Join(known, ", ")))
+			run.Fatal(fmt.Errorf("unknown -run name %q (known: %s)", name, strings.Join(known, ", ")))
 		}
 		want[name] = true
 	}
 
 	if *traceOut != "" {
-		if err := writeFig10Trace(*traceOut, *threads, *seed, *scale); err != nil {
-			fatal(err)
+		if err := writeFig10Trace(*traceOut, run.Threads, run.Seed, run.Scale); err != nil {
+			run.Fatal(err)
 		}
 		// A bare -trace invocation only captures the trace; combine with an
 		// explicit -run to also regenerate figures in the same process.
@@ -81,7 +69,7 @@ func main() {
 
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
 	defer stopCPU()
 	defer func() {
@@ -90,10 +78,7 @@ func main() {
 		}
 	}()
 
-	if err := (&repro.Config{Threads: *threads, Workers: *workers, Protocol: *proto}).Validate(); err != nil {
-		fatal(err)
-	}
-	opt := experiments.Options{Threads: *threads, Seed: *seed, Scale: *scale, Quick: *quick, Jobs: *jobs, Workers: *workers, Protocol: *proto}
+	opt := experiments.Options{Threads: run.Threads, Seed: run.Seed, Scale: run.Scale, Quick: *quick, Jobs: run.Jobs, Protocol: run.Protocol}
 	all := want["all"]
 	progress := os.Stderr
 	if !*verbose {
@@ -106,7 +91,7 @@ func main() {
 		var err error
 		suite, err = experiments.RunSuite(opt, progress)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 	}
 
@@ -121,7 +106,7 @@ func main() {
 	if all || want["fig10"] {
 		r, err := experiments.Fig10(opt)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		experiments.PrintFig10(out, r)
 		fmt.Fprintln(out)
@@ -145,7 +130,7 @@ func main() {
 	if all || want["fig15"] {
 		rows, err := experiments.Fig15(opt, progress)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		experiments.PrintFig15(out, rows)
 		fmt.Fprintln(out)
@@ -154,7 +139,7 @@ func main() {
 	if all || want["fig16"] {
 		rows, err := experiments.Fig16(opt, progress)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		experiments.PrintFig16(out, rows)
 		fmt.Fprintln(out)
@@ -174,7 +159,7 @@ func main() {
 		tables["runtime.csv"] = export.RuntimeCSV(rt)
 		names, err := export.WriteTables(*csvDir, tables)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d CSV files to %s\n", len(names), *csvDir)
 	}
@@ -211,9 +196,4 @@ func writeFig10Trace(path string, threads int, seed uint64, scale float64) error
 	fmt.Fprintf(os.Stderr, "experiments: wrote %s (%d events, %d evicted); open in ui.perfetto.dev\n",
 		path, rec.Len(), rec.Dropped())
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

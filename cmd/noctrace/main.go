@@ -21,6 +21,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/kernel/protocol"
 	"repro/internal/noc"
@@ -30,6 +31,7 @@ import (
 )
 
 func main() {
+	run := cli.Register("noctrace", cli.Seed|cli.Protocol, cli.Run{Seed: 1})
 	var (
 		mesh     = flag.String("mesh", "8x8", "mesh dimensions WxH")
 		pattern  = flag.String("pattern", "uniform", "traffic pattern: uniform, hotspot, transpose, neighbor")
@@ -37,17 +39,15 @@ func main() {
 		lockfrac = flag.Float64("lockfrac", 0.05, "fraction of injected packets that are locking requests")
 		cycles   = flag.Uint64("cycles", 10000, "injection window in cycles")
 		priority = flag.Bool("priority", false, "enable OCOR priority arbitration")
-		seed     = flag.Uint64("seed", 1, "rng seed")
 		csv      = flag.Bool("csv", false, "print machine-readable per-class CSV rows instead of the table")
 		traceOut = flag.String("trace", "", "write a Perfetto trace-event JSON file of the run")
 		workers  = flag.Int("workers", 1, "intra-tick worker count (>1 runs the sharded fused tick; results are identical)")
-		proto    = flag.String("protocol", "", "lock protocol whose wait policy sets the spin budget behind lock-packet priorities (\"\" = baseline)")
 	)
-	flag.Parse()
+	run.Parse()
 
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil {
-		fatal(fmt.Errorf("bad -mesh %q: %v", *mesh, err))
+		run.Fatal(fmt.Errorf("bad -mesh %q: %v", *mesh, err))
 	}
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = w, h
@@ -55,28 +55,24 @@ func main() {
 	// Validate explicitly (NewNetwork would too) so a bad -mesh is
 	// reported as the typed config error before anything is built.
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
-	// -workers and -protocol get the same validation the platform config
-	// applies: worker counts are bounded by the shardable node count, and
-	// an unknown protocol name reports the registry's known list.
+	// -workers gets the same validation the platform config applies: worker
+	// counts are bounded by the shardable node count.
 	if *workers < 0 {
-		fatal(fmt.Errorf("bad -workers: negative count %d", *workers))
+		run.Fatal(fmt.Errorf("bad -workers: negative count %d", *workers))
 	}
 	if *workers > cfg.Nodes() {
-		fatal(fmt.Errorf("bad -workers: %d tick workers exceed the %dx%d mesh's %d nodes (shards would be empty)",
+		run.Fatal(fmt.Errorf("bad -workers: %d tick workers exceed the %dx%d mesh's %d nodes (shards would be empty)",
 			*workers, w, h, cfg.Nodes()))
 	}
-	if !protocol.Valid(*proto) {
-		fatal(fmt.Errorf("unknown lock protocol %q (known: %v)", *proto, protocol.Known()))
-	}
-	prot, err := protocol.New(*proto, protocol.Params{MeshW: w, MeshH: h})
+	prot, err := protocol.New(run.Protocol, protocol.Params{MeshW: w, MeshH: h})
 	if err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
 	net, err := noc.NewNetwork(cfg)
 	if err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
 	if *workers > 1 {
 		pool := par.NewPool(*workers)
@@ -92,7 +88,7 @@ func main() {
 		net.SetObserver(rec)
 	}
 
-	rng := sim.NewRNG(*seed)
+	rng := sim.NewRNG(run.Seed)
 	pol := core.DefaultPolicy()
 	// The protocol's client-side wait policy bounds how long a thread
 	// spins before sleeping, which is exactly the spin-progress component
@@ -153,7 +149,7 @@ func main() {
 	e.MaxCycles = *cycles * 100
 	e.RunUntil(func() bool { return e.Now() >= *cycles && !net.Busy() })
 	if net.Busy() {
-		fatal(fmt.Errorf("network did not drain (saturated); lower -load"))
+		run.Fatal(fmt.Errorf("network did not drain (saturated); lower -load"))
 	}
 
 	classes := []noc.Class{noc.ClassData, noc.ClassCtrl, noc.ClassLock, noc.ClassWakeup}
@@ -195,20 +191,15 @@ func main() {
 	if rec != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		if err := obs.WriteTrace(f, rec.Events(), rec.Dropped()); err != nil {
 			f.Close()
-			fatal(err)
+			run.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "noctrace: wrote %s (%d events, %d evicted)\n", *traceOut, rec.Len(), rec.Dropped())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "noctrace:", err)
-	os.Exit(1)
 }

@@ -16,18 +16,16 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/metrics"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 func main() {
+	run := cli.Register("ocorsim", cli.Bench|cli.Threads|cli.Seed|cli.Scale|cli.Protocol,
+		cli.Run{Bench: "body", Threads: 64, Seed: 1, Scale: 1})
 	var (
-		bench    = flag.String("bench", "body", "benchmark name (see -list)")
-		threads  = flag.Int("threads", 64, "thread/core count")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		scale    = flag.Float64("scale", 1.0, "iteration scale factor")
 		compare  = flag.Bool("compare", true, "run both baseline and OCOR")
 		ocor     = flag.Bool("ocor", true, "enable OCOR (single-run mode)")
 		levels   = flag.Int("levels", 8, "OCOR priority levels")
@@ -36,13 +34,10 @@ func main() {
 		list     = flag.Bool("list", false, "list the benchmark catalog and exit")
 		traceOut = flag.String("traceout", "", "write a Perfetto trace-event JSON file (OCOR run in compare mode)")
 		histo    = flag.Bool("histo", false, "print streaming latency histograms and arbitration counters")
-		workers  = flag.Int("workers", 1, "intra-simulation worker count for the NoC tick (results are identical for every value)")
-		proto    = flag.String("protocol", "", "kernel lock protocol (empty = default queue spinlock; see internal/kernel/protocol)")
 	)
-	flag.Parse()
-
-	if c := par.WorkerCaveat(*workers); c != "" {
-		fmt.Fprintln(os.Stderr, "ocorsim: warning:", c)
+	run.Parse()
+	if err := run.Check(run.Threads, *levels); err != nil {
+		run.Fatal(err)
 	}
 
 	if *list {
@@ -53,21 +48,9 @@ func main() {
 		return
 	}
 
-	p, err := repro.Benchmark(*bench)
-	if err != nil {
-		fatal(err)
-	}
-	p = p.Scale(*scale)
-
-	// Validate the flag-derived configuration up front so an impossible
-	// topology is reported once, before any simulation output.
 	runCfg := repro.Config{
-		Benchmark: p, Threads: *threads, PriorityLevels: *levels,
-		Seed: *seed, Trace: *trace, Workers: *workers,
-		Protocol: *proto,
-	}
-	if err := runCfg.Validate(); err != nil {
-		fatal(err)
+		Benchmark: run.Profile, Threads: run.Threads, PriorityLevels: *levels,
+		Seed: run.Seed, Trace: *trace, Protocol: run.Protocol,
 	}
 
 	runOne := func(enabled bool, rec *obs.Recorder) metrics.Results {
@@ -76,11 +59,11 @@ func main() {
 		cfg.Obs = rec
 		sys, err := repro.New(cfg)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		res, err := sys.Run()
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		if rec != nil {
 			if *histo {
@@ -89,7 +72,7 @@ func main() {
 			}
 			if *traceOut != "" {
 				if err := writeTrace(*traceOut, rec); err != nil {
-					fatal(err)
+					run.Fatal(err)
 				}
 				fmt.Fprintf(os.Stderr, "ocorsim: wrote %s (%d events, %d evicted); open in ui.perfetto.dev\n",
 					*traceOut, rec.Len(), rec.Dropped())
@@ -161,9 +144,4 @@ func writeTrace(path string, rec *obs.Recorder) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ocorsim:", err)
-	os.Exit(1)
 }

@@ -43,11 +43,11 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/interrupt"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/profiling"
 	"repro/internal/workload"
 )
@@ -67,7 +67,6 @@ type sweepConfig struct {
 	grid     []cell
 	scale    float64
 	jobs     int
-	workers  int
 	protocol string
 	warm     bool
 	stop     <-chan struct{}
@@ -95,61 +94,48 @@ func (sc *sweepConfig) check() error {
 }
 
 func main() {
+	run := cli.Register("sweep", cli.Bench|cli.Scale|cli.Protocol|cli.Jobs,
+		cli.Run{Bench: "body", Scale: 1})
 	var (
-		bench   = flag.String("bench", "body", "benchmark name")
 		threads = flag.String("threads", "64", "comma-separated thread counts")
 		levels  = flag.String("levels", "8", "comma-separated OCOR priority-level counts")
 		seeds   = flag.Int("seeds", 1, "number of seeds per configuration")
-		scale   = flag.Float64("scale", 1.0, "iteration scale factor")
-		jobs    = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		workers = flag.Int("workers", 1, "intra-simulation worker count per run; composes with -j (0 jobs = GOMAXPROCS/workers)")
-		proto   = flag.String("protocol", "", "kernel lock protocol for every run (empty = default queue spinlock)")
 		warm    = flag.Bool("warm", true, "warm-start cells from a shared pre-first-lock prefix snapshot")
 		ckptDir = flag.String("checkpoint-dir", "", "run as a fleet of -j in-process workers over this spool directory; a rerun resumes the grid")
 		fleetN  = flag.Int("fleet", 0, "run the grid as a supervised fleet with this many in-process workers (0 = classic grid mode unless -spool or -checkpoint-dir is set)")
 		spool   = flag.String("spool", "", "fleet spool directory: durable job queue, result/poison journals and prefix snapshots; cmd/sweepd workers attach here")
 		cellTO  = flag.Duration("cell-timeout", 0, "fleet per-cell wall-clock watchdog; a wedged cell fails (and is retried, then quarantined) instead of wedging its worker (0 = none)")
 	)
-	flag.Parse()
+	run.Parse()
 
-	if c := par.WorkerCaveat(*workers); c != "" {
-		fmt.Fprintln(os.Stderr, "sweep: warning:", c)
-	}
 	sc := sweepConfig{
-		scale: *scale, jobs: *jobs, workers: *workers, protocol: *proto,
+		prof: run.Profile, scale: run.Scale, jobs: run.Jobs, protocol: run.Protocol,
 		warm: *warm, fleetWorkers: *fleetN, spool: *spool, ckptDir: *ckptDir, cellTimeout: *cellTO,
 	}
 	if err := sc.check(); err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
 
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
 
-	p, err := repro.Benchmark(*bench)
-	if err != nil {
-		fatal(err)
-	}
-	sc.prof = p.Scale(*scale)
-
-	var grid []cell
-	for _, th := range parseInts(*threads) {
-		for _, lv := range parseInts(*levels) {
-			for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-				grid = append(grid, cell{threads: th, levels: lv, seed: seed})
-			}
-		}
+	if err := cli.Count("seeds", *seeds); err != nil {
+		run.Fatal(err)
 	}
 	// Validate every grid cell before the first CSV byte goes out, so a
 	// bad flag is one clean stderr line instead of a die mid-stream.
-	for _, c := range grid {
-		cfg := repro.Config{Threads: c.threads, PriorityLevels: c.levels, Workers: *workers, Protocol: *proto}
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
+	for _, th := range ints(run, *threads) {
+		for _, lv := range ints(run, *levels) {
+			if err := run.Check(th, lv); err != nil {
+				run.Fatal(err)
+			}
+			for seed := uint64(1); seed <= uint64(*seeds); seed++ {
+				sc.grid = append(sc.grid, cell{threads: th, levels: lv, seed: seed})
+			}
 		}
 	}
 
@@ -158,7 +144,6 @@ func main() {
 	// prefix of rows is flushed (and, in fleet mode, persisted), a
 	// trailing comment line marks the output as partial, and the exit
 	// code is 130. A second signal kills the process.
-	sc.grid = grid
 	sc.stop = interrupt.Notify("sweep", "draining; flushing completed rows")
 
 	var truncated bool
@@ -173,11 +158,11 @@ func main() {
 		case errors.Is(err, fleet.ErrDrained):
 			truncated = true
 		case err != nil:
-			fatal(err)
+			run.Fatal(err)
 		case stats.Poisoned > 0 && sc.ckptDir != "":
 			// A checkpointed sweep fails on a failing cell, as a grid run
 			// does; the quarantine verdicts stay in the spool.
-			fatal(fmt.Errorf("%d cells poisoned; see %s", stats.Poisoned, filepath.Join(sc.ckptDir, "poison.jsonl")))
+			run.Fatal(fmt.Errorf("%d cells poisoned; see %s", stats.Poisoned, filepath.Join(sc.ckptDir, "poison.jsonl")))
 		}
 	} else {
 		stats, err := sweepRun(sc, os.Stdout)
@@ -188,7 +173,7 @@ func main() {
 		case errors.Is(err, experiments.ErrInterrupted):
 			truncated = true
 		case err != nil:
-			fatal(err)
+			run.Fatal(err)
 		}
 	}
 	if truncated {
@@ -198,7 +183,7 @@ func main() {
 
 	stopCPU()
 	if err := profiling.WriteHeap(*memProf); err != nil {
-		fatal(err)
+		run.Fatal(err)
 	}
 }
 
@@ -209,7 +194,7 @@ func expandCells(sc sweepConfig) []experiments.Cell {
 	for _, c := range sc.grid {
 		base := experiments.Cell{
 			Profile: sc.prof, Threads: c.threads, Seed: c.seed,
-			Protocol: sc.protocol, Workers: sc.workers,
+			Protocol: sc.protocol,
 		}
 		ocor := base
 		ocor.OCOR = true
@@ -244,7 +229,7 @@ func sweepFleet(sc sweepConfig, out io.Writer) (fleet.Stats, error) {
 	if sc.ckptDir != "" {
 		spool = sc.ckptDir
 		if workers == 0 {
-			workers = par.SharedCoreBudget(sc.jobs, sc.workers)
+			workers = sc.jobs
 			if workers <= 0 {
 				workers = runtime.GOMAXPROCS(0)
 			}
@@ -295,8 +280,7 @@ func newCSVEmitter(sc sweepConfig, out io.Writer) *csvEmitter {
 		resolved: make([]bool, 2*len(sc.grid)),
 	}
 	_ = e.w.Write([]string{
-		"benchmark", "threads", "levels", "seed", "protocol", "workers",
-		"scale", "config",
+		"benchmark", "threads", "levels", "seed", "protocol", "scale", "config",
 		"roi_finish", "total_coh", "spin_fraction", "sleeps",
 		"coh_improvement", "roi_improvement",
 	})
@@ -339,7 +323,7 @@ func (e *csvEmitter) set(i int, r metrics.Results, errStr string) {
 func (e *csvEmitter) row(c cell, cfg string, r metrics.Results, cohImp, roiImp float64) {
 	_ = e.w.Write([]string{
 		e.sc.prof.Name, strconv.Itoa(c.threads), strconv.Itoa(c.levels),
-		strconv.FormatUint(c.seed, 10), e.sc.protocol, strconv.Itoa(e.sc.workers),
+		strconv.FormatUint(c.seed, 10), e.sc.protocol,
 		strconv.FormatFloat(e.sc.scale, 'f', -1, 64), cfg,
 		strconv.FormatUint(r.ROIFinish, 10),
 		strconv.FormatUint(r.TotalCOH, 10),
@@ -360,19 +344,15 @@ func (e *csvEmitter) comment(c cell, cfg, errStr string) {
 
 func (e *csvEmitter) flush() { e.w.Flush() }
 
-func parseInts(s string) []int {
+// ints parses a comma-separated list of integers.
+func ints(run *cli.Run, s string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fatal(fmt.Errorf("bad integer list %q: %v", s, err))
+			run.Fatal(fmt.Errorf("bad integer list %q: %v", s, err))
 		}
 		out = append(out, v)
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -20,25 +20,25 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
 
 func main() {
+	run := cli.Register("traceq", cli.Bench|cli.Threads|cli.Seed|cli.Scale|cli.Protocol|cli.Jobs,
+		cli.Run{Bench: "body", Threads: 16, Seed: 1, Scale: 1})
 	var (
-		in      = flag.String("in", "", "read a -trace JSON file instead of simulating")
-		bench   = flag.String("bench", "body", "benchmark name for in-process capture")
-		threads = flag.Int("threads", 16, "thread/core count for in-process capture")
-		seed    = flag.Uint64("seed", 1, "first simulation seed")
-		seeds   = flag.Int("seeds", 1, "number of consecutive seeds to aggregate")
-		scale   = flag.Float64("scale", 1.0, "iteration scale factor")
-		ocor    = flag.Bool("ocor", true, "enable OCOR for in-process capture")
-		top     = flag.Int("top", 10, "number of slowest acquisitions to print")
-		jobs    = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		proto   = flag.String("protocol", "", "kernel lock protocol for in-process capture (empty = default queue spinlock)")
+		in    = flag.String("in", "", "read a -trace JSON file instead of simulating")
+		seeds = flag.Int("seeds", 1, "number of consecutive seeds to aggregate")
+		ocor  = flag.Bool("ocor", true, "enable OCOR for in-process capture")
+		top   = flag.Int("top", 10, "number of slowest acquisitions to print")
 	)
-	flag.Parse()
+	run.Parse()
+	if err := cli.Count("seeds", *seeds); err != nil {
+		run.Fatal(err)
+	}
 
 	var (
 		acqs    []obs.Acquisition
@@ -49,24 +49,16 @@ func main() {
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		evs, d, err := obs.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", *in, err))
+			run.Fatal(fmt.Errorf("%s: %w", *in, err))
 		}
 		acqs = obs.Acquisitions(evs)
 		dropped = d
 	} else {
-		p, err := repro.Benchmark(*bench)
-		if err != nil {
-			fatal(err)
-		}
-		p = p.Scale(*scale)
-		if err := (&repro.Config{Threads: *threads, OCOR: *ocor, Protocol: *proto}).Validate(); err != nil {
-			fatal(err)
-		}
 		type capture struct {
 			acqs    []obs.Acquisition
 			dropped uint64
@@ -75,12 +67,12 @@ func main() {
 		}
 		// Seeds run concurrently but results are concatenated in seed
 		// order, so the report is identical for any -j width.
-		caps, err := par.Map(*seeds, *jobs, func(i int) (capture, error) {
+		caps, err := par.Map(*seeds, run.Jobs, func(i int) (capture, error) {
 			rec := obs.NewRecorder(0)
 			sys, err := repro.New(repro.Config{
-				Benchmark: p, Threads: *threads, OCOR: *ocor,
-				Seed: *seed + uint64(i), Obs: rec,
-				Protocol: *proto,
+				Benchmark: run.Profile, Threads: run.Threads, OCOR: *ocor,
+				Seed: run.Seed + uint64(i), Obs: rec,
+				Protocol: run.Protocol,
 			})
 			if err != nil {
 				return capture{}, err
@@ -94,7 +86,7 @@ func main() {
 			}, nil
 		}, nil)
 		if err != nil {
-			fatal(err)
+			run.Fatal(err)
 		}
 		// Lock stats aggregate across seeds: counters sum, high-water
 		// depths take the max, keyed by lock id (stats arrive sorted).
@@ -154,9 +146,4 @@ func main() {
 				st.Lock, st.Acquisitions, st.FailedTries, st.Wakes, st.Handoffs, st.MaxQueueDepth)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "traceq:", err)
-	os.Exit(1)
 }

@@ -321,6 +321,19 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
 
+// Index reads an int written by Writer.Int and fails the reader unless it
+// lies in [0, n). A decoder reads through it a value that the restored
+// state later indexes a fixed-size table with, so a corrupt payload fails
+// the restore instead of the run.
+func (r *Reader) Index(n int) int {
+	v := r.Int()
+	if r.err == nil && (v < 0 || v >= n) {
+		r.fail("index %d outside [0, %d) before offset %d (section %q)", v, n, r.off, r.open)
+		return 0
+	}
+	return v
+}
+
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 

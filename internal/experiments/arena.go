@@ -6,7 +6,7 @@ package experiments
 // and competition-overhead histograms come from the metrics collector and
 // are merged across the catalog, and the combinations are ranked into a
 // leaderboard by total ROI finish time. The report is byte-identical for
-// any -j / -workers setting, like every other sweep in this package.
+// any -j setting, like every other sweep in this package.
 
 import (
 	"fmt"
@@ -20,13 +20,12 @@ import (
 
 // ArenaOptions configures a tournament.
 type ArenaOptions struct {
-	// Threads, Seed, Scale, Jobs, Workers as in Options (Threads defaults
-	// to 16 — the arena is about lock-algorithm contrast, not scale).
+	// Threads, Seed, Scale, Jobs as in Options (Threads defaults to 16 —
+	// the arena is about lock-algorithm contrast, not scale).
 	Threads int
 	Seed    uint64
 	Scale   float64
 	Jobs    int
-	Workers int
 	// Benches restricts the workload catalog (empty = the Quick subset).
 	Benches []string
 	// Protocols restricts the contestants (empty = every registered
@@ -128,8 +127,8 @@ type ArenaReport struct {
 }
 
 // RunArena runs the full tournament: |Protocols| x {baseline, OCOR} x
-// |Benches| simulations distributed over the shared core budget, results
-// assembled and ranked deterministically regardless of Jobs/Workers.
+// |Benches| simulations distributed over Jobs, results assembled and
+// ranked deterministically regardless of Jobs.
 func RunArena(o ArenaOptions, progress io.Writer) (ArenaReport, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -154,7 +153,7 @@ func RunArena(o ArenaOptions, progress io.Writer) (ArenaReport, error) {
 	for c := 0; c < combos; c++ {
 		for _, p := range profs {
 			cells = append(cells, Cell{Profile: p, Threads: o.Threads, OCOR: c%2 == 1, Seed: o.Seed,
-				Protocol: o.Protocols[c/2], Workers: o.Workers})
+				Protocol: o.Protocols[c/2]})
 		}
 	}
 	runs, _, err := RunGrid(cells, GridOptions{Jobs: o.Jobs}, func(i int, _ CellResult) {

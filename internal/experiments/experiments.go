@@ -32,16 +32,8 @@ type Options struct {
 	// Jobs bounds how many independent simulations run concurrently
 	// (0 = GOMAXPROCS). Results and progress output are independent of
 	// the setting: every simulation is seeded individually and reports
-	// are assembled in catalog order.
+	// are assembled in catalog order. Each simulation runs sequentially.
 	Jobs int
-	// Workers is the intra-simulation parallelism width handed to every
-	// run (values > 1 shard each NoC tick over a worker pool of that
-	// size). Results are byte-identical for every value; only wall-clock
-	// time changes. Workers and Jobs compose through a shared core
-	// budget: when Jobs is 0 and Workers > 1, the effective job count is
-	// GOMAXPROCS / Workers (min 1) so the two levels together never
-	// oversubscribe the machine.
-	Workers int
 	// Protocol selects the kernel lock algorithm for every run ("" = the
 	// default queue spinlock). See internal/kernel/protocol.
 	Protocol string
@@ -83,11 +75,10 @@ func (o Options) profiles() []workload.Profile {
 	return out
 }
 
-// cell returns the plain cell of profile p under the options' seed,
-// protocol and widths.
+// cell returns the plain cell of profile p under the options' seed and
+// protocol.
 func (o Options) cell(p workload.Profile, threads int, ocor bool) Cell {
-	return Cell{Profile: p, Threads: threads, OCOR: ocor, Seed: o.Seed,
-		Protocol: o.Protocol, Workers: o.Workers}
+	return Cell{Profile: p, Threads: threads, OCOR: ocor, Seed: o.Seed, Protocol: o.Protocol}
 }
 
 // grid runs cells through RunGrid under the options' job budget.

@@ -22,12 +22,11 @@ import (
 type FaultOptions struct {
 	// Bench is the catalog benchmark name.
 	Bench string
-	// Threads, Seed, Scale, Jobs, Workers, Protocol as in Options.
+	// Threads, Seed, Scale, Jobs, Protocol as in Options.
 	Threads  int
 	Seed     uint64
 	Scale    float64
 	Jobs     int
-	Workers  int
 	Protocol string
 	// Rates is the ladder of flit-drop rates applied to the locking
 	// classes (rate 0 is the healthy reference point).
@@ -99,9 +98,8 @@ type FaultSweep struct {
 
 // RunFaultSweep runs the drop-rate ladder, baseline and OCOR per rate,
 // and returns the assembled degradation curve. Runs are distributed
-// over Jobs workers — Jobs and Workers compose through
-// par.SharedCoreBudget, like every other sweep — and results and
-// progress output are independent of the job count.
+// over Jobs workers, and results and progress output are independent of
+// the job count.
 func RunFaultSweep(o FaultOptions, progress io.Writer) (FaultSweep, error) {
 	o = o.withDefaults()
 	prof, err := workload.ByName(o.Bench)
@@ -115,7 +113,7 @@ func RunFaultSweep(o FaultOptions, progress io.Writer) (FaultSweep, error) {
 	// request cuts the sweep short.
 	var cells []Cell
 	for _, rate := range o.Rates {
-		base := Cell{Profile: prof, Threads: o.Threads, Seed: o.Seed, Protocol: o.Protocol, Workers: o.Workers,
+		base := Cell{Profile: prof, Threads: o.Threads, Seed: o.Seed, Protocol: o.Protocol,
 			Faults: fault.Plan{Seed: o.Seed, DropRate: rate}, Recovery: o.Recovery}
 		ocor := base
 		ocor.OCOR = true

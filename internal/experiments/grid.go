@@ -56,10 +56,11 @@ func (c Cell) Forkable() bool { return c.TraceThreads == 0 && !c.Faulted() }
 // so only one representative per key is ever simulated. Knob fields
 // appear only when set, so plain cells keep their keys across versions;
 // the literal |nfalse| segment is the retired unpooled-mode flag, kept so
-// existing spools and prefix caches stay valid.
+// existing spools and prefix caches stay valid. Workers 0 and 1 both run
+// sequentially and both render |w1, the key spools were written with.
 func (c Cell) Key() string {
 	k := fmt.Sprintf("%+v|t%d|o%v|l%d|s%d|p%s|nfalse|w%d",
-		c.Profile, c.Threads, c.OCOR, c.Levels, c.Seed, c.Protocol, c.Workers)
+		c.Profile, c.Threads, c.OCOR, c.Levels, c.Seed, c.Protocol, max(c.Workers, 1))
 	if c.TraceThreads != 0 {
 		k += fmt.Sprintf("|tr%d", c.TraceThreads)
 	}
@@ -77,7 +78,7 @@ func (c Cell) Key() string {
 // whose pointer updates differ even while no prioritized packet exists.
 func (c Cell) PrefixKey() string {
 	return fmt.Sprintf("%+v|t%d|o%v|s%d|nfalse|w%d",
-		c.Profile, c.Threads, c.OCOR, c.Seed, c.Workers)
+		c.Profile, c.Threads, c.OCOR, c.Seed, max(c.Workers, 1))
 }
 
 // CellResult is one cell's outcome: the standard results plus the views
@@ -137,8 +138,7 @@ func InstallRunner(f func(RunOptions) func(Cell) (CellResult, error)) { newRunne
 
 // GridOptions configures RunGrid.
 type GridOptions struct {
-	// Jobs bounds concurrent simulations (0 = GOMAXPROCS); composes with
-	// per-cell Workers through the shared core budget.
+	// Jobs bounds concurrent simulations (0 = GOMAXPROCS).
 	Jobs int
 	// Warm forks each forkable cell from its protocol-independent prefix
 	// snapshot (see RunOptions.Warm).
@@ -182,7 +182,6 @@ func RunGrid(cells []Cell, o GridOptions, emit func(i int, r CellResult)) ([]Cel
 	uniqOf := make([]int, len(cells))
 	firstOf := map[string]int{}
 	var uniq []Cell
-	workers := 1
 	for i, c := range cells {
 		k := c.Key()
 		u, ok := firstOf[k]
@@ -190,7 +189,6 @@ func RunGrid(cells []Cell, o GridOptions, emit func(i int, r CellResult)) ([]Cel
 			u = len(uniq)
 			firstOf[k] = u
 			uniq = append(uniq, c)
-			workers = max(workers, c.Workers)
 		}
 		uniqOf[i] = u
 	}
@@ -202,7 +200,7 @@ func RunGrid(cells []Cell, o GridOptions, emit func(i int, r CellResult)) ([]Cel
 	next := 0
 	ready := make([]CellResult, len(uniq))
 	prefixes := map[string]bool{}
-	uniqRes, err := par.Map(len(uniq), par.SharedCoreBudget(o.Jobs, workers), func(i int) (CellResult, error) {
+	uniqRes, err := par.Map(len(uniq), o.Jobs, func(i int) (CellResult, error) {
 		select {
 		case <-o.Stop:
 			return CellResult{}, ErrInterrupted

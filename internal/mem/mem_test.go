@@ -650,3 +650,36 @@ func TestRestoreBuildsOnlyUsedL1s(t *testing.T) {
 		t.Fatal("restored memory system re-encodes to different bytes")
 	}
 }
+
+// TestRestoreRejectsForgedMSHRWay forges an outstanding miss whose
+// reserved way lies past the set's L1Ways ways and checks that restore
+// reports it, where completing the miss would index out of range.
+func TestRestoreRejectsForgedMSHRWay(t *testing.T) {
+	restore := func(forge bool) error {
+		h := newHarness(t, 4, 4)
+		h.access(3, 0x1000, false)
+		l := h.mem.l1s[3]
+		if len(l.mshrs) != 1 {
+			t.Fatalf("cold read left %d MSHRs, want 1", len(l.mshrs))
+		}
+		if forge {
+			for _, m := range l.mshrs {
+				m.way = l.cfg.L1Ways
+			}
+		}
+		w := checkpoint.NewWriter()
+		if err := h.mem.SnapshotTo(w); err != nil {
+			t.Fatal(err)
+		}
+		fresh := newHarness(t, 4, 4)
+		return fresh.mem.RestoreFrom(checkpoint.NewReader(w.Snapshot()), func(int) func(uint64) { return func(uint64) {} })
+	}
+	if err := restore(false); err != nil {
+		t.Fatalf("restore rejected an honest snapshot: %v", err)
+	}
+	if err := restore(true); err == nil {
+		t.Fatal("restore accepted an MSHR way equal to L1Ways")
+	} else {
+		t.Log(err)
+	}
+}

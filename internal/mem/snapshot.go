@@ -336,8 +336,8 @@ func (l *L1) restoreFrom(r *checkpoint.Reader, contFor func(node int) func(now u
 		m.addr = r.U64()
 		m.wantWrite = r.Bool()
 		m.hasLine = r.Bool()
-		m.way = r.Int()
-		m.set = r.Int()
+		m.way = r.Index(l.cfg.L1Ways)
+		m.set = r.Index(len(l.sets))
 		m.gotData = r.Bool()
 		m.dataState = LineState(r.U8())
 		m.version = r.U64()

@@ -347,7 +347,7 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			var ev flitEvent
 			ev.f.pkt = pkt(r.U32())
 			ev.f.seq = r.Int()
-			ev.vc = r.Int()
+			ev.vc = r.Index(n.Cfg.VCs)
 			ev.at = r.U64()
 			ev.dup = r.Bool()
 			ev.drop = r.Bool()
@@ -357,7 +357,7 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		l.credits = l.credits[:0]
 		for i := 0; i < nc && r.Err() == nil; i++ {
 			var ev creditEvent
-			ev.vc = r.Int()
+			ev.vc = r.Index(n.Cfg.VCs)
 			ev.freeVC = r.Bool()
 			ev.at = r.U64()
 			l.credits = append(l.credits, ev)
@@ -373,6 +373,9 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			return fmt.Errorf("noc: pending flit link index %d out of range", li)
 		}
 		l := links[li]
+		if r.Err() == nil && (l.flitQueued || len(l.flits) == 0 || l.flitRecv == nil) {
+			return fmt.Errorf("noc: pending flit link %d is listed twice, has no flits or feeds no router", li)
+		}
 		l.flitQueued = true
 		n.pendFlits = append(n.pendFlits, l)
 	}
@@ -384,6 +387,9 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			return fmt.Errorf("noc: pending credit link index %d out of range", li)
 		}
 		l := links[li]
+		if r.Err() == nil && (l.creditQueued || len(l.credits) == 0 || l.creditRecv == nil) {
+			return fmt.Errorf("noc: pending credit link %d is listed twice, has no credits or feeds no router", li)
+		}
 		l.creditQueued = true
 		n.pendCredits = append(n.pendCredits, l)
 	}
@@ -435,7 +441,7 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			}
 			ni.active[vn] = activeStream{}
 			if r.Bool() {
-				ni.active[vn] = activeStream{pkt: pkt(r.U32()), next: r.Int(), vc: r.Int()}
+				ni.active[vn] = activeStream{pkt: pkt(r.U32()), next: r.Int(), vc: r.Index(len(ni.outCredits))}
 			}
 		}
 		for i := range ni.Injected {

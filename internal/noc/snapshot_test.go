@@ -152,3 +152,62 @@ func TestRestoreBuildsOnlyUsedRouters(t *testing.T) {
 		t.Fatal("drained networks encode differently")
 	}
 }
+
+// TestRestoreRejectsForgedLinks forges the link state a snapshot carries —
+// an event's VC, the pending-link lists — through the encoder and checks
+// that restore reports each forgery, where a run from the restored state
+// would index out of range or read a missing event.
+func TestRestoreRejectsForgedLinks(t *testing.T) {
+	cfg := testConfig(4, 4, false)
+	// A packet across the mesh until some router-bound link holds a flit
+	// event while another link holds a credit event.
+	busy := func() (*Network, []*link) {
+		n := MustNetwork(cfg)
+		n.SetSink(15, func(uint64, *Packet) {})
+		n.Send(0, n.NewPacket(0, 15, ClassData, VNetResponse, nil))
+		links, _ := n.linkTable()
+		for now := uint64(1); now < 200; now++ {
+			n.Tick(now)
+			if len(n.pendFlits) > 0 && len(n.pendCredits) > 0 {
+				return n, links
+			}
+		}
+		t.Fatal("no cycle held both a pending flit and a pending credit")
+		return nil, nil
+	}
+	restore := func(n *Network) error {
+		w := checkpoint.NewWriter()
+		if err := n.SnapshotTo(w, nil); err != nil {
+			t.Fatal(err)
+		}
+		return MustNetwork(cfg).RestoreFrom(checkpoint.NewReader(w.Snapshot()), nil)
+	}
+	idle := func(links []*link) *link {
+		for _, l := range links {
+			if l.flitRecv != nil && len(l.flits) == 0 {
+				return l
+			}
+		}
+		t.Fatal("every router-bound link holds flits")
+		return nil
+	}
+
+	honest, _ := busy()
+	if err := restore(honest); err != nil {
+		t.Fatalf("restore rejected an honest snapshot: %v", err)
+	}
+	for name, forge := range map[string]func(n *Network, links []*link){
+		"flit on VC VCs":     func(n *Network, _ []*link) { n.pendFlits[0].flits[0].vc = cfg.VCs },
+		"credit on VC -1":    func(n *Network, _ []*link) { n.pendCredits[0].credits[0].vc = -1 },
+		"empty pending link": func(n *Network, links []*link) { n.pendFlits = append(n.pendFlits, idle(links)) },
+		"pending link twice": func(n *Network, _ []*link) { n.pendFlits = append(n.pendFlits, n.pendFlits[0]) },
+	} {
+		n, links := busy()
+		forge(n, links)
+		if err := restore(n); err == nil {
+			t.Errorf("%s: restore accepted the forged snapshot", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}

@@ -35,38 +35,6 @@ func protect[T any](i int, fn func(i int) (T, error)) (v T, err error) {
 	return fn(i)
 }
 
-// SharedCoreBudget resolves the outer job bound when run-level
-// parallelism (jobs concurrent simulations) composes with intra-run
-// parallelism (workers tick threads per simulation). An explicit jobs
-// value wins untouched; with jobs left at its 0 default and workers > 1,
-// the job count shrinks to GOMAXPROCS/workers so jobs x workers stays
-// within the machine's core budget — clamped at one job, never zero, so
-// a host with fewer cores than workers still makes progress instead of
-// deadlocking the sweep.
-func SharedCoreBudget(jobs, workers int) int {
-	if jobs != 0 || workers <= 1 {
-		return jobs
-	}
-	if jobs = runtime.GOMAXPROCS(0) / workers; jobs < 1 {
-		jobs = 1
-	}
-	return jobs
-}
-
-// WorkerCaveat returns a non-empty warning when the requested intra-run
-// worker count exceeds the host's CPUs: the shard workers then time-slice
-// a core instead of running in parallel, so -workers cannot pay off and
-// any wall-clock comparison across worker counts on that host is
-// misleading. Commands that accept -workers print this to stderr, and
-// benchjson additionally records it in its JSON report so a performance
-// record carries its own validity note.
-func WorkerCaveat(workers int) string {
-	if cpus := runtime.NumCPU(); workers > cpus {
-		return fmt.Sprintf("%d tick workers on a %d-CPU host: shards time-slice instead of running in parallel, so worker counts above the CPU count slow runs down and their wall-clock numbers are not comparable", workers, cpus)
-	}
-	return ""
-}
-
 // Map evaluates fn(0..n-1) across at most `jobs` concurrent
 // workers (0 or negative = GOMAXPROCS) and returns the results in index
 // order. Work items are claimed in increasing index order from a shared

@@ -3,7 +3,6 @@ package par
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,38 +123,5 @@ func TestMapEdgeCases(t *testing.T) {
 	res, err := Map(3, 0, func(i int) (int, error) { return i + 1, nil }, nil) // jobs=0 -> GOMAXPROCS
 	if err != nil || len(res) != 3 || res[2] != 3 {
 		t.Fatalf("jobs=0: res=%v err=%v", res, err)
-	}
-}
-
-// TestSharedCoreBudget pins the jobs x workers composition rule — in
-// particular the clamp at one job when the host has fewer cores than the
-// per-run worker count, which must never resolve to zero jobs (par.Map
-// with zero jobs would fall back to GOMAXPROCS and oversubscribe; a
-// literal zero would hang a sweep entirely).
-func TestSharedCoreBudget(t *testing.T) {
-	// Explicit jobs always wins, whatever workers says.
-	for _, jobs := range []int{1, 2, 7} {
-		if got := SharedCoreBudget(jobs, 64); got != jobs {
-			t.Fatalf("SharedCoreBudget(%d, 64) = %d, want %d", jobs, got, jobs)
-		}
-	}
-	// workers <= 1: the 0 default passes through (Map resolves it to
-	// GOMAXPROCS itself).
-	if got := SharedCoreBudget(0, 1); got != 0 {
-		t.Fatalf("SharedCoreBudget(0, 1) = %d, want 0", got)
-	}
-	// Division with plenty of cores.
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	if got := SharedCoreBudget(0, 2); got != 4 {
-		t.Fatalf("GOMAXPROCS=8: SharedCoreBudget(0, 2) = %d, want 4", got)
-	}
-	// The regression: GOMAXPROCS < workers must clamp to one job, not
-	// truncate to zero.
-	runtime.GOMAXPROCS(1)
-	for _, workers := range []int{2, 4, 64} {
-		if got := SharedCoreBudget(0, workers); got != 1 {
-			t.Fatalf("GOMAXPROCS=1: SharedCoreBudget(0, %d) = %d, want 1", workers, got)
-		}
 	}
 }

@@ -77,8 +77,9 @@ type Config struct {
 	// the NoC's tick phases on a persistent worker pool of that size
 	// (sharded compute, ordered commit). Results are byte-identical for
 	// every worker count — the executor only changes wall-clock time.
-	// 0 and 1 both mean fully sequential. Composes with outer run-level
-	// parallelism (experiments.Options.Jobs) via a shared core budget.
+	// 0 and 1 both mean fully sequential. The commands leave it at 0 and
+	// run whole simulations side by side instead (-j): no platform cycle
+	// holds enough work for the sharded tick to pay.
 	Workers int
 
 	// NoC, Mem and Kernel override subsystem defaults when non-nil.
