@@ -15,7 +15,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/noc"
 )
 
 // runToJSON finishes sys and returns the canonical byte serialization of
@@ -34,8 +33,8 @@ func runToJSON(t *testing.T, sys *System) []byte {
 }
 
 // TestCheckpointRoundTripMatrix is the checkpoint subsystem's end-to-end
-// guarantee: for every lock protocol, both OCOR modes, both engine
-// schedulers and both executor widths, snapshotting a run half-way,
+// guarantee: for every lock protocol, both OCOR modes and both engine
+// schedulers, snapshotting a run half-way,
 // restoring the snapshot into a freshly built platform and running to
 // completion produces results byte-identical to the uninterrupted run.
 // Restored platforms are also immediately re-snapshotted and the two
@@ -56,47 +55,32 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 			mid := refSys.Engine.Now() / 2
 
 			for _, poll := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					cfg := base
-					cfg.Workers = workers
-					if workers > 1 {
-						// Force the sharded tick path (the 4x4 mesh is
-						// below the default parallelism thresholds).
-						ncfg := noc.DefaultConfig()
-						ncfg.ParThreshold = -1
-						cfg.NoC = &ncfg
-					}
-					sys := newSystem(t, cfg, poll)
-					if _, err := sys.RunTo(mid); err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: RunTo: %v",
-							proto, ocor, poll, workers, err)
-					}
-					snap, err := sys.Snapshot()
-					if err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: snapshot: %v",
-							proto, ocor, poll, workers, err)
-					}
-					restored, err := Restore(cfg, snap)
-					if err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: restore: %v",
-							proto, ocor, poll, workers, err)
-					}
-					if poll {
-						pollEngine(t, restored)
-					}
-					snap2, err := restored.Snapshot()
-					if err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: re-snapshot: %v",
-							proto, ocor, poll, workers, err)
-					}
-					if !bytes.Equal(snap.Data, snap2.Data) {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: re-snapshot of restored platform differs (%d vs %d bytes)",
-							proto, ocor, poll, workers, len(snap.Data), len(snap2.Data))
-					}
-					if got := runToJSON(t, restored); !bytes.Equal(ref, got) {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: restored run diverged from uninterrupted:\nref: %s\ngot: %s",
-							proto, ocor, poll, workers, ref, got)
-					}
+				sys := newSystem(t, base, poll)
+				if _, err := sys.RunTo(mid); err != nil {
+					t.Fatalf("proto=%q ocor=%v poll=%v: RunTo: %v", proto, ocor, poll, err)
+				}
+				snap, err := sys.Snapshot()
+				if err != nil {
+					t.Fatalf("proto=%q ocor=%v poll=%v: snapshot: %v", proto, ocor, poll, err)
+				}
+				restored, err := Restore(base, snap)
+				if err != nil {
+					t.Fatalf("proto=%q ocor=%v poll=%v: restore: %v", proto, ocor, poll, err)
+				}
+				if poll {
+					pollEngine(t, restored)
+				}
+				snap2, err := restored.Snapshot()
+				if err != nil {
+					t.Fatalf("proto=%q ocor=%v poll=%v: re-snapshot: %v", proto, ocor, poll, err)
+				}
+				if !bytes.Equal(snap.Data, snap2.Data) {
+					t.Fatalf("proto=%q ocor=%v poll=%v: re-snapshot of restored platform differs (%d vs %d bytes)",
+						proto, ocor, poll, len(snap.Data), len(snap2.Data))
+				}
+				if got := runToJSON(t, restored); !bytes.Equal(ref, got) {
+					t.Fatalf("proto=%q ocor=%v poll=%v: restored run diverged from uninterrupted:\nref: %s\ngot: %s",
+						proto, ocor, poll, ref, got)
 				}
 			}
 		}
@@ -279,11 +263,13 @@ func TestCheckpointRejects(t *testing.T) {
 	if _, err := Restore(bad, snap); err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("restore under different OCOR mode: got %v, want config mismatch", err)
 	}
-	// The version is checked before any decoding, so a version-1
-	// snapshot fails the same way whatever its payload.
-	old := &checkpoint.Snapshot{Version: 1, Data: snap.Data}
-	if _, err := Restore(cfg, old); !errors.Is(err, checkpoint.ErrVersion) {
-		t.Fatalf("restore of a version-1 snapshot: got %v, want checkpoint.ErrVersion", err)
+	// The version is checked before any decoding, so a snapshot of an
+	// older format fails the same way whatever its payload.
+	for v := uint32(1); v < checkpoint.Version; v++ {
+		old := &checkpoint.Snapshot{Version: v, Data: snap.Data}
+		if _, err := Restore(cfg, old); !errors.Is(err, checkpoint.ErrVersion) {
+			t.Fatalf("restore of a version-%d snapshot: got %v, want checkpoint.ErrVersion", v, err)
+		}
 	}
 	bad = cfg
 	bad.Protocol = "mcs"
@@ -346,9 +332,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		want string
 	}{
 		{"det-16t-4x4", Config{Benchmark: detProfile(), Threads: 16, OCOR: true, Seed: 7}, 7500,
-			"1610ebe741fd6ae273f1525701dcafe2dc3f979889785e9b253e0cec4e95e366"},
+			"ce650b6459b2988e229a4913958f2f65778fd5f6337b5807d97beb45b5ae9479"},
 		{"det-4t-8x8", Config{Benchmark: detProfile(), Threads: 4, MeshWidth: 8, MeshHeight: 8, OCOR: true, Seed: 7}, 2500,
-			"f4d109245b422c5afb4614093605604e34ec40291b789f2f415a8ed63948fe56"},
+			"bfd5d3e6dcdc6a7340379e46111c5d041dc68a616eebda1faff0e3951a27a2d4"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

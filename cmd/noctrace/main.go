@@ -11,7 +11,6 @@
 //	noctrace -pattern transpose -mesh 8x8
 //	noctrace -pattern hotspot -priority -csv          # machine-readable rows
 //	noctrace -pattern hotspot -trace out.json         # Perfetto trace
-//	noctrace -mesh 32x32 -workers 4                   # sharded fused tick
 //	noctrace -priority -protocol reciprocating        # protocol spin budgets
 package main
 
@@ -26,7 +25,6 @@ import (
 	"repro/internal/kernel/protocol"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -41,7 +39,6 @@ func main() {
 		priority = flag.Bool("priority", false, "enable OCOR priority arbitration")
 		csv      = flag.Bool("csv", false, "print machine-readable per-class CSV rows instead of the table")
 		traceOut = flag.String("trace", "", "write a Perfetto trace-event JSON file of the run")
-		workers  = flag.Int("workers", 1, "intra-tick worker count (>1 runs the sharded fused tick; results are identical)")
 	)
 	run.Parse()
 
@@ -57,15 +54,6 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		run.Fatal(err)
 	}
-	// -workers gets the same validation the platform config applies: worker
-	// counts are bounded by the shardable node count.
-	if *workers < 0 {
-		run.Fatal(fmt.Errorf("bad -workers: negative count %d", *workers))
-	}
-	if *workers > cfg.Nodes() {
-		run.Fatal(fmt.Errorf("bad -workers: %d tick workers exceed the %dx%d mesh's %d nodes (shards would be empty)",
-			*workers, w, h, cfg.Nodes()))
-	}
 	prot, err := protocol.New(run.Protocol, protocol.Params{MeshW: w, MeshH: h})
 	if err != nil {
 		run.Fatal(err)
@@ -73,11 +61,6 @@ func main() {
 	net, err := noc.NewNetwork(cfg)
 	if err != nil {
 		run.Fatal(err)
-	}
-	if *workers > 1 {
-		pool := par.NewPool(*workers)
-		defer pool.Close()
-		net.SetTickPool(pool)
 	}
 	for i := 0; i < cfg.Nodes(); i++ {
 		net.SetSink(i, func(now uint64, pkt *noc.Packet) {})
@@ -168,8 +151,10 @@ func main() {
 				net.Stats.InjectedPkts[c], net.Stats.DeliveredPkts[c], nl.Mean(), tl.Mean(), nl.Max())
 		}
 	} else {
-		fmt.Printf("mesh %dx%d, pattern %s, load %.3f, priority=%v, workers=%d, protocol=%s\n",
-			w, h, *pattern, *load, *priority, *workers, prot.Name())
+		// The header keeps the workers=1 field the table always printed, so
+		// captures from before -workers went still diff clean.
+		fmt.Printf("mesh %dx%d, pattern %s, load %.3f, priority=%v, workers=1, protocol=%s\n",
+			w, h, *pattern, *load, *priority, prot.Name())
 		fmt.Printf("drained at cycle %d (injection window %d)\n\n", e.Now(), *cycles)
 		fmt.Printf("%-8s %10s %10s %12s %12s %12s\n", "class", "injected", "delivered", "avg net lat", "avg tot lat", "max net lat")
 		for _, c := range classes {

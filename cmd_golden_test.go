@@ -173,6 +173,7 @@ func TestCommandGoldens(t *testing.T) {
 		{"lockarena-workers", []string{"lockarena", "-protocols", "mcs", "-benches", "can", "-scale", "0.05", "-v=false", "-workers", "2"}, 2, undefined},
 		{"faultsweep-workers", []string{"faultsweep", "-rates", "0", "-scale", "0.05", "-v=false", "-workers", "2"}, 2, undefined},
 		{"benchjson-workers", []string{"benchjson", "-threads", "4", "-scale", "0.02", "-o", os.DevNull, "-workers", "2"}, 2, undefined},
+		{"noctrace-workers", []string{"noctrace", "-mesh", "4x4", "-cycles", "200", "-workers", "2"}, 2, undefined},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...)

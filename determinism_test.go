@@ -2,13 +2,11 @@ package repro
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -73,57 +71,6 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 			}
 			if rec.Stats.Acquires == 0 {
 				t.Fatalf("ocor=%v poll=%v: no acquisitions recorded", ocor, poll)
-			}
-		}
-	}
-}
-
-// TestWorkersDeterminismMatrix is the tick executor's end-to-end
-// guarantee: the full platform produces byte-identical results across the
-// whole matrix {sequential, workers=2, workers=4} × {OCOR off, OCOR on} ×
-// {fast-forward, tick every busy cycle}. The comparison is on the JSON
-// serialisation of the consolidated results, so any drift — a counter, a
-// latency accumulator, a single cycle — fails byte-for-byte. The
-// 16-thread profile runs on a 4x4 mesh, well under the executor's default
-// work gate, so the NoC config forces ParThreshold -1 (always parallel
-// when a pool is attached) to make every worker-count cell actually
-// exercise the sharded path. The busy-tick dimension runs the network
-// behind the busyTickEngine oracle and pins idle-window fast-forward as a
-// pure scheduling optimisation: skipping quiescent windows must leave the
-// platform export byte-identical to ticking every busy cycle.
-func TestWorkersDeterminismMatrix(t *testing.T) {
-	for _, ocor := range []bool{false, true} {
-		var ref []byte
-		for _, workers := range []int{1, 2, 4} {
-			for _, busyTick := range []bool{false, true} {
-				ncfg := noc.DefaultConfig()
-				ncfg.ParThreshold = -1
-				sys, err := New(Config{
-					Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-					Seed: 7, Workers: workers, NoC: &ncfg,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if busyTick {
-					busyTickEngine(t, sys)
-				}
-				r, err := sys.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if !bytes.Equal(ref, got) {
-					t.Fatalf("ocor=%v workers=%d busyTick=%v: export diverged from sequential:\nseq: %s\ngot: %s",
-						ocor, workers, busyTick, ref, got)
-				}
 			}
 		}
 	}

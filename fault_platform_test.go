@@ -2,15 +2,16 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
-	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
@@ -93,29 +94,32 @@ func TestFaultMachineryInertWhenIdle(t *testing.T) {
 	}
 }
 
-// TestFaultMatrix runs the degraded configuration across {OCOR off, OCOR
-// on} × {sequential, workers=2} and requires every cell to be
-// reproducible: identical JSON on repetition, and byte-identical between
-// the sequential and sharded executors. Fault injection must be as
-// deterministic as the fault-free simulator.
+// TestFaultMatrix runs the degraded configuration with OCOR off and on
+// and requires every cell to be reproducible: identical JSON on
+// repetition. Fault injection must be as deterministic as the fault-free
+// simulator.
 func TestFaultMatrix(t *testing.T) {
-	ncfg := noc.DefaultConfig()
-	ncfg.ParThreshold = -1 // force the sharded path despite the small mesh
 	for _, ocor := range []bool{false, true} {
-		var ref []byte
-		for _, workers := range []int{1, 1, 2} {
-			cfg := faultyConfig(ocor)
-			cfg.Workers = workers
-			cfg.NoC = &ncfg
-			got := runJSON(t, cfg)
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !bytes.Equal(ref, got) {
-				t.Fatalf("ocor=%v workers=%d: faulted run not reproducible:\nref: %s\ngot: %s",
-					ocor, workers, ref, got)
-			}
+		ref := runJSON(t, faultyConfig(ocor))
+		if got := runJSON(t, faultyConfig(ocor)); !bytes.Equal(ref, got) {
+			t.Fatalf("ocor=%v: faulted run not reproducible:\nref: %s\ngot: %s", ocor, ref, got)
+		}
+	}
+}
+
+// TestFaultDelayDigestPinned pins the results of the degraded
+// configuration — flit drops and delays on the lock classes, recovery on
+// — to SHA-256 digests of their JSON. A delayed flit must hold back the
+// flits behind it on its link, and the reproducibility tests above
+// compare a run only with itself, so a change that let later flits
+// overtake a delayed one would pass them; it moves these digests.
+func TestFaultDelayDigestPinned(t *testing.T) {
+	for ocor, want := range map[bool]string{
+		false: "c4507ae0d68823fd6c9429dd6137963b9585fbfc6a21a305d17f1002a5ec179d",
+		true:  "95e24956541a82151d0937aad61479941fafb0bee79cb6259b3139072d9e1aa1",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(runJSON(t, faultyConfig(ocor)))); got != want {
+			t.Errorf("ocor=%v: results sha256 %s, want %s", ocor, got, want)
 		}
 	}
 }

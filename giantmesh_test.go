@@ -3,141 +3,103 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
+
+// giantSmoke runs p with 64 threads on a w x w platform with the watchdog
+// armed, checks that the run finishes quiescent and coherent (Run returns
+// a *sim.WatchdogError if the watchdog fires), and requires a second run
+// on the busyTickEngine oracle — the conservative tick-every-busy-cycle
+// discipline — to produce the same results: idle-window fast-forward is
+// a pure scheduling optimisation on a giant mesh too.
+func giantSmoke(t *testing.T, p workload.Profile, w int) {
+	t.Helper()
+	cfg := Config{
+		Benchmark:  p,
+		Threads:    64,
+		MeshWidth:  w,
+		MeshHeight: w,
+		OCOR:       true,
+		Seed:       11,
+		Watchdog:   &sim.WatchdogConfig{},
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatalf("%dx%d run failed: %v", w, w, err)
+	}
+	if res.ROIFinish == 0 {
+		t.Fatal("zero ROI")
+	}
+	if want := uint64(64 * p.Iterations); res.Acquisitions != want {
+		t.Fatalf("acquisitions = %d, want %d", res.Acquisitions, want)
+	}
+	if sys.Net.Busy() {
+		t.Fatal("network still busy after completion")
+	}
+	if err := sys.Mem.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+
+	busy, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busyTickEngine(t, busy)
+	busyRes, err := busy.Run()
+	if err != nil {
+		t.Fatalf("conservative %dx%d run failed: %v", w, w, err)
+	}
+	if busyRes != res {
+		t.Fatalf("%dx%d fast-forward diverged from conservative:\n%+v\n%+v", w, w, res, busyRes)
+	}
+}
 
 // TestGiantMeshSmoke runs a short deterministic workload on a 32x32
 // platform — 1024 nodes, far past every structure the hot path indexes by
-// node id — with the watchdog armed and the fused parallel tick forced
-// (64 threads never reach the default gate). It is the giant-mesh
-// counterpart of TestRunCompletes: the run must finish, the watchdog must
-// stay quiet (Run returns a *sim.WatchdogError if it fires), and the
-// platform must end quiescent and coherent.
+// node id. It is the giant-mesh counterpart of TestRunCompletes.
 func TestGiantMeshSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32x32 platform smoke skipped in -short")
 	}
 	p := smallProfile()
 	p.Iterations = 3
-	forced := noc.DefaultConfig()
-	forced.ParThreshold = -1
-	sys, err := New(Config{
-		Benchmark:  p,
-		Threads:    64,
-		MeshWidth:  32,
-		MeshHeight: 32,
-		OCOR:       true,
-		Seed:       11,
-		Workers:    4,
-		NoC:        &forced,
-		Watchdog:   &sim.WatchdogConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatalf("32x32 run failed: %v", err)
-	}
-	if res.ROIFinish == 0 {
-		t.Fatal("zero ROI")
-	}
-	if res.Acquisitions != 64*3 {
-		t.Fatalf("acquisitions = %d, want %d", res.Acquisitions, 64*3)
-	}
-	if sys.Net.Busy() {
-		t.Fatal("network still busy after completion")
-	}
-	if err := sys.Mem.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The fused executor must not change results on the giant mesh either:
-	// a sequential run of the same configuration is byte-identical.
-	seq, err := New(Config{
-		Benchmark:  p,
-		Threads:    64,
-		MeshWidth:  32,
-		MeshHeight: 32,
-		OCOR:       true,
-		Seed:       11,
-		Watchdog:   &sim.WatchdogConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := seq.Run()
-	if err != nil {
-		t.Fatalf("sequential 32x32 run failed: %v", err)
-	}
-	if seqRes != res {
-		t.Fatalf("32x32 workers=4 diverged from sequential:\n%+v\n%+v", res, seqRes)
-	}
+	giantSmoke(t, p, 32)
 }
 
 // TestGiantMeshSmoke64 pushes the smoke one size up: 64 threads on a
 // 64x64 mesh — 4096 nodes, of which 98% never host a thread, exactly the
-// regime the O(active) ticking targets. The four-worker fast-forward run,
-// with the fused tick forced, must complete, stay coherent, and be
-// byte-identical to a sequential run on the busyTickEngine oracle (the
-// conservative tick-every-busy-cycle discipline), closing the {workers} x
-// {fast-forward} matrix at the platform level on a giant mesh.
+// regime the O(active) ticking targets.
 func TestGiantMeshSmoke64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64x64 platform smoke skipped in -short")
 	}
 	p := smallProfile()
 	p.Iterations = 2
-	forced := noc.DefaultConfig()
-	forced.ParThreshold = -1
-	sys, err := New(Config{
-		Benchmark:  p,
-		Threads:    64,
-		MeshWidth:  64,
-		MeshHeight: 64,
-		OCOR:       true,
-		Seed:       11,
-		Workers:    4,
-		NoC:        &forced,
-		Watchdog:   &sim.WatchdogConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatalf("64x64 run failed: %v", err)
-	}
-	if res.Acquisitions != 64*2 {
-		t.Fatalf("acquisitions = %d, want %d", res.Acquisitions, 64*2)
-	}
-	if sys.Net.Busy() {
-		t.Fatal("network still busy after completion")
-	}
-	if err := sys.Mem.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
+	giantSmoke(t, p, 64)
+}
 
-	seq, err := New(Config{
-		Benchmark:  p,
-		Threads:    64,
-		MeshWidth:  64,
-		MeshHeight: 64,
-		OCOR:       true,
-		Seed:       11,
-		Watchdog:   &sim.WatchdogConfig{},
-	})
+// TestGiantMeshFastForwardPinned pins the engine's schedule on a giant
+// mesh: 16 threads on 64x64 tick 11,474 cycles and skip 4,920. The
+// identity tests compare fast-forward with ticking every busy cycle, and
+// both agree whenever the network only wakes early, so a change that
+// ticks extra cycles would pass them; it moves these counts.
+func TestGiantMeshFastForwardPinned(t *testing.T) {
+	p := smallProfile()
+	p.Iterations = 2
+	sys, err := New(Config{Benchmark: p, Threads: 16, MeshWidth: 64, MeshHeight: 64, OCOR: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	busyTickEngine(t, seq)
-	seqRes, err := seq.Run()
-	if err != nil {
-		t.Fatalf("sequential conservative 64x64 run failed: %v", err)
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if seqRes != res {
-		t.Fatalf("64x64 workers=4 fast-forward diverged from conservative sequential:\n%+v\n%+v", res, seqRes)
+	if e := sys.Engine; e.TickedCycles != 11474 || e.SkippedCycles != 4920 {
+		t.Fatalf("ticked %d and skipped %d cycles, want 11474 and 4920", e.TickedCycles, e.SkippedCycles)
 	}
 }
 

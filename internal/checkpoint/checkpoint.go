@@ -26,7 +26,11 @@ import (
 // Version is the current checkpoint format version. Readers reject files
 // with a different version: state layout changes must bump it. Version 2
 // encodes histograms as obs.LogHist and drops three fields nothing read.
-const Version uint32 = 2
+// Version 3 writes the NoC's router-bound link events as its event wheel
+// (base cycle, then flits and credits in due order) in place of per-link
+// queues and pending-link lists, and each NI's inbound link events in its
+// own record.
+const Version uint32 = 3
 
 // ErrVersion marks a snapshot of another format version; it is reported
 // before any payload is decoded.

@@ -102,7 +102,8 @@ func (s *System) RestoreFrom(r *checkpoint.Reader) error {
 		return fmt.Errorf("cpu: snapshot has %d threads, system %d", nt, len(s.Threads))
 	}
 	for _, t := range s.Threads {
-		t.pc = r.Int()
+		// pc == len(prog) is a thread past its last operation.
+		t.pc = r.Index(len(t.prog) + 1)
 		t.region = Region(r.U8())
 		t.regionSince = r.U64()
 		t.blockStart = r.U64()

@@ -29,7 +29,10 @@ type Cell struct {
 	Levels   int
 	Seed     uint64
 	Protocol string
-	Workers  int
+	// Workers has no effect on the run (repro.Config.Workers): it stays
+	// because the benchmark sets it and Key renders it, and it goes with
+	// the benchmark's last use of it (ROADMAP item 8).
+	Workers int
 
 	// TraceThreads > 0 records the region timeline and renders its first
 	// TraceThreads threads over the first 1/8 of the run, mirroring the
@@ -56,8 +59,8 @@ func (c Cell) Forkable() bool { return c.TraceThreads == 0 && !c.Faulted() }
 // so only one representative per key is ever simulated. Knob fields
 // appear only when set, so plain cells keep their keys across versions;
 // the literal |nfalse| segment is the retired unpooled-mode flag, kept so
-// existing spools and prefix caches stay valid. Workers 0 and 1 both run
-// sequentially and both render |w1, the key spools were written with.
+// existing spools and prefix caches stay valid. Workers 0 and 1 both
+// render |w1, the key spools were written with.
 func (c Cell) Key() string {
 	k := fmt.Sprintf("%+v|t%d|o%v|l%d|s%d|p%s|nfalse|w%d",
 		c.Profile, c.Threads, c.OCOR, c.Levels, c.Seed, c.Protocol, max(c.Workers, 1))

@@ -17,7 +17,7 @@
 // All flits of one packet therefore share one fate at a given link: a
 // "drop" removes the whole packet atomically rather than leaving a
 // truncated flit train in the network. Router freezes hash the cycle
-// epoch, so they are stable under the sharded parallel tick too.
+// epoch, so they do not depend on the order routers tick in either.
 package fault
 
 import (
@@ -84,7 +84,7 @@ type Plan struct {
 	DelayRate float64 // P(every flit of the packet delayed at the link)
 
 	// DelayCycles is the extra latency a delayed flit suffers
-	// (default 16).
+	// (default 16, at most MaxDelayCycles).
 	DelayCycles uint64
 
 	// FreezeRate is the probability that a router is frozen for any
@@ -112,6 +112,11 @@ type Plan struct {
 	// rates.
 	Events []Event
 }
+
+// MaxDelayCycles bounds Plan.DelayCycles. The network's event wheel spans
+// the longest link flight plus the delay, so the bound keeps a plan from
+// sizing it out of memory.
+const MaxDelayCycles = 4096
 
 // Enabled reports whether the plan injects anything at all.
 func (p *Plan) Enabled() bool {
@@ -146,6 +151,9 @@ func (p *Plan) Validate() error {
 	if s := p.DropRate + p.DupRate + p.DelayRate; s > 1 {
 		return fmt.Errorf("fault: DropRate+DupRate+DelayRate = %v exceeds 1", s)
 	}
+	if p.DelayCycles > MaxDelayCycles {
+		return fmt.Errorf("fault: DelayCycles %d exceeds %d", p.DelayCycles, MaxDelayCycles)
+	}
 	for i, ev := range p.Events {
 		switch ev.Kind {
 		case KindDrop, KindDup, KindDelay:
@@ -170,8 +178,8 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Stats counts injected faults. All counters are updated atomically:
-// flit-fate and freeze decisions can run from parallel tick shards.
+// Stats counts injected faults. All counters are updated atomically, so a
+// reporter may read them while the simulation goroutine runs.
 type Stats struct {
 	DroppedFlits   atomic.Uint64
 	DroppedTails   atomic.Uint64 // == whole packets removed from the network
@@ -212,8 +220,8 @@ type wakeKey struct {
 
 // Injector is the runtime form of a Plan: precomputed hash thresholds
 // and scripted-event indexes. Decision methods are pure reads (except
-// the atomic stat bumps and the sequential-only wake counter), so they
-// are safe from parallel tick shards.
+// the atomic stat bumps and the wake counter), so their answers do not
+// depend on the order they are asked in.
 type Injector struct {
 	plan Plan
 
@@ -244,10 +252,11 @@ type Injector struct {
 }
 
 // NewInjector compiles a plan. The caller should Validate first; rates
-// outside [0, 1] are clamped here rather than rejected.
+// outside [0, 1] and a DelayCycles above MaxDelayCycles are clamped here
+// rather than rejected.
 func NewInjector(p Plan) *Injector {
 	inj := &Injector{plan: p, classMask: p.ClassMask}
-	inj.delayCycles = p.DelayCycles
+	inj.delayCycles = min(p.DelayCycles, MaxDelayCycles)
 	if inj.delayCycles == 0 {
 		inj.delayCycles = 16
 	}
@@ -296,6 +305,9 @@ func NewInjector(p Plan) *Injector {
 
 // Plan returns the compiled plan.
 func (inj *Injector) Plan() Plan { return inj.plan }
+
+// DelayCycles returns the extra latency a delayed flit suffers.
+func (inj *Injector) DelayCycles() uint64 { return inj.delayCycles }
 
 // DefaultClassMask sets the class mask if the plan left it zero. The
 // consumer (noc.SetFaults) calls this with its protocol-appropriate
@@ -346,9 +358,6 @@ const (
 // sequence number or cycle — so every flit of a packet shares one fate
 // per link and a Drop removes the packet atomically. The second return
 // is the extra delay (valid when the action is Delay).
-//
-// Safe to call from parallel tick shards: pure reads plus atomic stat
-// updates.
 func (inj *Injector) FlitFate(at, pktID uint64, isTail bool, link int32, class uint8) (Action, uint64) {
 	if inj.classMask>>class&1 == 0 {
 		return Deliver, 0
@@ -396,8 +405,6 @@ func (inj *Injector) FlitFate(at, pktID uint64, isTail bool, link int32, class u
 // scripted freeze window covers now, or the rate draw for the router's
 // current freeze epoch fires. An epoch-frozen router stays frozen until
 // the epoch boundary, modelling a stalled pipeline of bounded length.
-//
-// Stateless, so safe from parallel tick shards.
 func (inj *Injector) Frozen(now uint64, router int32) bool {
 	if wins := inj.freezes[router]; len(wins) > 0 {
 		for _, w := range wins {

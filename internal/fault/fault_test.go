@@ -24,7 +24,7 @@ func TestPlanEnabled(t *testing.T) {
 }
 
 func TestPlanValidate(t *testing.T) {
-	good := Plan{DropRate: 0.3, DupRate: 0.3, DelayRate: 0.4}
+	good := Plan{DropRate: 0.3, DupRate: 0.3, DelayRate: 0.4, DelayCycles: MaxDelayCycles}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
@@ -36,6 +36,7 @@ func TestPlanValidate(t *testing.T) {
 		{Events: []Event{{Kind: KindFreeze, Span: 0}}},
 		{Events: []Event{{Kind: Kind(99)}}},
 		{Events: []Event{{Kind: KindWakeLoss, Lock: -1}}},
+		{DelayRate: 0.1, DelayCycles: MaxDelayCycles + 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

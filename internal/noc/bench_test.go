@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -58,70 +57,55 @@ func BenchmarkUniformTraffic(b *testing.B) {
 }
 
 // BenchmarkNetworkTick measures the per-cycle cost of the hot tick loop on
-// a saturated mesh at several intra-tick worker counts. The network is
-// pre-loaded with self-refreshing all-to-random traffic so every measured
-// cycle carries real allocation/traversal work; workers=1 is the pure
-// sequential path (the bench-smoke allocation gate runs that variant to
-// pin the sequential hot loop at zero allocations per tick), higher
-// counts exercise the sharded executor (ParThreshold -1 keeps it engaged
-// regardless of instantaneous load, so dispatch overhead is fully
-// visible). Each run also reports the mean router-buffered flits and the
-// mean gate work count (flits plus pending links) per measured cycle: the
-// load at which workers=2 starts to win sets the default gate.
+// a saturated mesh. The network is pre-loaded with self-refreshing
+// all-to-random traffic so every measured cycle carries real
+// allocation/traversal work; the bench-smoke gates hold the 8x8 variant to
+// zero allocations per tick and under a committed ns/op ceiling. Each run
+// also reports the mean router-buffered flits per measured cycle.
 func BenchmarkNetworkTick(b *testing.B) {
 	for _, mesh := range []int{8, 16, 24, 32, 64} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("mesh=%dx%d/workers=%d", mesh, mesh, workers), func(b *testing.B) {
-				cfg := testConfig(mesh, mesh, true)
-				cfg.ParThreshold = -1
-				n := MustNetwork(cfg)
-				rng := sim.NewRNG(42)
-				resend := func(now uint64, pkt *Packet) {
-					// Keep the load constant: every delivery immediately
-					// re-injects a packet from a rotating source.
-					src := pkt.Dst
-					dst := rng.Intn(cfg.Nodes())
-					if dst == src {
-						dst = (src + 1) % cfg.Nodes()
-					}
-					n.Send(now, n.NewPacket(src, dst, ClassData, rng.Intn(NumVNets), nil))
-					n.FreePacket(pkt)
+		b.Run(fmt.Sprintf("mesh=%dx%d", mesh, mesh), func(b *testing.B) {
+			cfg := testConfig(mesh, mesh, true)
+			n := MustNetwork(cfg)
+			rng := sim.NewRNG(42)
+			resend := func(now uint64, pkt *Packet) {
+				// Keep the load constant: every delivery immediately
+				// re-injects a packet from a rotating source.
+				src := pkt.Dst
+				dst := rng.Intn(cfg.Nodes())
+				if dst == src {
+					dst = (src + 1) % cfg.Nodes()
 				}
-				for j := 0; j < cfg.Nodes(); j++ {
-					n.SetSink(j, resend)
-				}
-				if workers > 1 {
-					pool := par.NewPool(workers)
-					defer pool.Close()
-					n.SetTickPool(pool)
-				}
-				// Load the mesh and tick to a busy steady state before
-				// the timer starts.
-				for s := 0; s < cfg.Nodes(); s++ {
-					for k := 0; k < 4; k++ {
-						d := rng.Intn(cfg.Nodes())
-						if d != s {
-							n.Send(0, n.NewPacket(s, d, ClassData, rng.Intn(NumVNets), nil))
-						}
+				n.Send(now, n.NewPacket(src, dst, ClassData, rng.Intn(NumVNets), nil))
+				n.FreePacket(pkt)
+			}
+			for j := 0; j < cfg.Nodes(); j++ {
+				n.SetSink(j, resend)
+			}
+			// Load the mesh and tick to a busy steady state before the
+			// timer starts.
+			for s := 0; s < cfg.Nodes(); s++ {
+				for k := 0; k < 4; k++ {
+					d := rng.Intn(cfg.Nodes())
+					if d != s {
+						n.Send(0, n.NewPacket(s, d, ClassData, rng.Intn(NumVNets), nil))
 					}
 				}
-				var now uint64
-				for ; now < 500; now++ {
-					n.Tick(now)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var flits, work int
-				for i := 0; i < b.N; i++ {
-					flits += n.routerFlits
-					work += n.tickWork()
-					n.Tick(now)
-					now++
-				}
-				b.ReportMetric(float64(flits)/float64(b.N), "flits/cycle")
-				b.ReportMetric(float64(work)/float64(b.N), "work/cycle")
-			})
-		}
+			}
+			var now uint64
+			for ; now < 500; now++ {
+				n.Tick(now)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var flits int
+			for i := 0; i < b.N; i++ {
+				flits += n.routerFlits
+				n.Tick(now)
+				now++
+			}
+			b.ReportMetric(float64(flits)/float64(b.N), "flits/cycle")
+		})
 	}
 }
 
@@ -181,14 +165,15 @@ func (g *sparseGen) NextWake(now uint64) uint64 {
 // SetWaker implements sim.WakeSetter.
 func (g *sparseGen) SetWaker(w sim.Waker) { g.waker = w }
 
-// runSparseTick builds the sparse-traffic fixture: flows single-flit
-// ping-pong pairs crossing three quarters of the mesh in each dimension
-// (the cross-mesh distances lock and directory traffic actually covers on
-// a giant mesh — the uniform-random mean is already 2/3 of the width per
-// axis) on a LinkLatency-8 mesh, with think cycles between a delivery and
-// the reverse send. One "op" of the benchmark advances the run by eight
-// deliveries.
-func runSparseTick(b *testing.B, mesh int, noFF bool) {
+// sparseFixture builds the sparse-traffic fixture on a mesh x mesh mesh:
+// flows single-flit ping-pong pairs crossing three quarters of the mesh
+// in each dimension (the cross-mesh distances lock and directory traffic
+// actually covers on a giant mesh — the uniform-random mean is already
+// 2/3 of the width per axis) on a LinkLatency-8 mesh, with think cycles
+// between a delivery and the reverse send. It returns the engine, with
+// the network registered behind engineView(n, noFF), and the delivery
+// count.
+func sparseFixture(mesh int, noFF bool) (*sim.Engine, *int) {
 	const (
 		flows = 1
 		think = 200
@@ -196,10 +181,10 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 	cfg := testConfig(mesh, mesh, true)
 	cfg.LinkLatency = 8
 	n := MustNetwork(cfg)
-	delivered := 0
+	delivered := new(int)
 	g := &sparseGen{net: n, ring: make([]sparseRelease, flows+1)}
 	resend := func(now uint64, pkt *Packet) {
-		delivered++
+		*delivered++
 		src, dst := pkt.Dst, pkt.Src
 		n.FreePacket(pkt)
 		g.push(now+think, src, dst)
@@ -220,12 +205,19 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 		g.push(uint64(k*(think/flows)), cfg.Node(x, y), cfg.Node(x+span, y+span))
 	}
 	e.MaxCycles = 1 << 62
-	e.RunUntil(func() bool { return delivered >= 40 })
+	return e, delivered
+}
+
+// runSparseTick times the sparse fixture: one "op" of the benchmark
+// advances the run by eight deliveries.
+func runSparseTick(b *testing.B, mesh int, noFF bool) {
+	e, delivered := sparseFixture(mesh, noFF)
+	e.RunUntil(func() bool { return *delivered >= 40 })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		target := delivered + 8
-		e.RunUntil(func() bool { return delivered >= target })
+		target := *delivered + 8
+		e.RunUntil(func() bool { return *delivered >= target })
 	}
 }
 

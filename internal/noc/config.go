@@ -96,27 +96,23 @@ type Config struct {
 	// Priority selects OCOR priority-based VC and switch allocation;
 	// false selects the baseline round-robin allocators.
 	Priority bool
-	// ParThreshold tunes when a network with a tick pool attached runs a
-	// cycle as one fused parallel tick rather than sequentially. The gate
-	// is one per-cycle work count: router-buffered flits plus links
-	// holding pending events. 0 uses the built-in default, the crossover
-	// measured on a 2-CPU host (8192: the saturated 16x16 mesh stays
-	// sequential, the saturated 24x24 mesh goes fused); a positive value
-	// replaces it; a negative value shards every cycle with any work,
-	// injection-only cycles included (tests use this to exercise the
-	// sharded executor on small meshes). An attached observer keeps every
-	// cycle sequential. Both paths produce byte-identical state, so the
-	// threshold only affects speed, never results.
-	ParThreshold int
 }
 
 // Bounds on the buffer and packet sizes, far above the paper's 4-flit VCs
 // and 8-flit data packets. They keep the int32 credit counters and a VC
 // record's narrow ring indices and sequence number from overflowing.
+// MaxLinkLatency bounds the link flight, far above the paper's one cycle:
+// the network's event wheel spans the longest flight, so the bound keeps
+// a config from sizing it out of memory.
 const (
 	MaxVCDepth     = 1024
 	MaxPacketFlits = 1024
+	MaxLinkLatency = 1024
 )
+
+// maxRouterVCs bounds the mesh's router input VCs: a credit event carries
+// a router VC's arena index in 31 bits.
+const maxRouterVCs = 1<<31 - 1
 
 // DefaultConfig returns the paper's 8x8 configuration.
 func DefaultConfig() Config {
@@ -164,6 +160,10 @@ func (c *Config) Validate() error {
 		// The router tracks per-port VC state in 64-bit masks.
 		return &ConfigError{Field: "VCs", Reason: fmt.Sprintf("at most 64 per port, got %d", c.VCs)}
 	}
+	if int64(c.Width)*int64(c.Height)*int64(NumDirs)*int64(c.VCs) > maxRouterVCs {
+		return &ConfigError{Field: "Width/Height",
+			Reason: fmt.Sprintf("mesh %dx%d with %d VCs per port has more than %d router VCs", c.Width, c.Height, c.VCs, maxRouterVCs)}
+	}
 	if c.VCDepth <= 0 {
 		c.VCDepth = 4
 	}
@@ -172,6 +172,9 @@ func (c *Config) Validate() error {
 	}
 	if c.LinkLatency <= 0 {
 		c.LinkLatency = 1
+	}
+	if c.LinkLatency > MaxLinkLatency {
+		return &ConfigError{Field: "LinkLatency", Reason: fmt.Sprintf("at most %d cycles, got %d", MaxLinkLatency, c.LinkLatency)}
 	}
 	if c.DataPacketFlits <= 0 {
 		c.DataPacketFlits = 8
@@ -220,6 +223,23 @@ func (c *Config) VCRange(vnet int) (lo, hi int) {
 	}
 	lo = extra*(per+1) + (vnet-extra)*per
 	return lo, lo + per
+}
+
+// linked reports whether router node has a port in direction d: Local
+// always, a mesh direction unless node sits on that edge.
+func (c *Config) linked(node int, d Dir) bool {
+	x, y := c.XY(node)
+	switch d {
+	case North:
+		return y > 0
+	case East:
+		return x+1 < c.Width
+	case South:
+		return y+1 < c.Height
+	case West:
+		return x > 0
+	}
+	return d == Local
 }
 
 // ManhattanHops returns the XY-routing hop count between two nodes

@@ -10,22 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// delayPlan injects link delays aggressively enough that most link queues
-// carry a fault-delayed event at some point, which is exactly the regime
-// where the queues stop being sorted by `at`: a delayed head blocks
-// earlier-due events behind it, and an already-due event can linger in a
-// queue across a fast-forward window.
-func delayPlan() fault.Plan {
-	return fault.Plan{Seed: 23, DelayRate: 0.5, DelayCycles: 40, ClassMask: 0xffff}
+// delayPlan injects link delays aggressively enough that most links carry
+// a fault-delayed flit at some point, which is exactly the regime where a
+// flit's due cycle is not its send cycle plus the link latency: a delayed
+// flit holds back the flits behind it on its link (the wheel clamps their
+// due cycles to its own; an NI queue blocks behind it), and an already-due
+// flit can wait across a fast-forward window.
+func delayPlan(delay uint64) fault.Plan {
+	return fault.Plan{Seed: 23, DelayRate: 0.5, DelayCycles: delay, ClassMask: 0xffff}
 }
 
-// delayedNet builds a 4x4 priority mesh under delayPlan with a
+// delayedNet builds a 4x4 priority mesh under delayPlan(delay) with a
 // deterministic all-to-all workload and delivery-recording sinks.
-func delayedNet(t *testing.T) (*Network, *fault.Injector, *strings.Builder) {
+func delayedNet(t *testing.T, delay uint64) (*Network, *fault.Injector, *strings.Builder) {
 	t.Helper()
 	cfg := testConfig(4, 4, true)
 	n := MustNetwork(cfg)
-	inj := fault.NewInjector(delayPlan())
+	inj := fault.NewInjector(delayPlan(delay))
 	n.SetFaults(inj)
 
 	var sb strings.Builder
@@ -60,7 +61,7 @@ func delayedNet(t *testing.T) (*Network, *fault.Injector, *strings.Builder) {
 
 // TestNextEventCycleFaultDelayFloor is the regression test for
 // NextEventCycle's conservative now+1 floor under fault-injected link
-// delays. With delays in flight, link queues are FIFO but not sorted by
+// delays. With delays in flight, an NI queue is FIFO but not sorted by
 // `at`: an event can be due at or before `now` while sitting behind a
 // delayed head, and the head-based horizon of an NI queue can trail the
 // clock after a skip. The floor clamps every such case to now+1 — if it
@@ -70,7 +71,7 @@ func delayedNet(t *testing.T) (*Network, *fault.Injector, *strings.Builder) {
 // NextEventCycle-sized jumps, so a stuck horizon fails fast instead of
 // timing out.
 func TestNextEventCycleFaultDelayFloor(t *testing.T) {
-	n, inj, _ := delayedNet(t)
+	n, inj, _ := delayedNet(t, 40)
 	now := uint64(0)
 	steps := 0
 	for n.Busy() {
@@ -102,23 +103,67 @@ func TestNextEventCycleFaultDelayFloor(t *testing.T) {
 // equivalence bar in the fault-delay regime: skipping to NextEventCycle
 // horizons must leave every delivery (node, packet, hop count, cycle) and
 // the final census byte-identical to ticking the network on every busy
-// cycle (the busyTicked oracle).
+// cycle (the busyTicked oracle). A 100-cycle delay outgrows one bitmap
+// word of the event wheel, so both wheel layouts run.
 func TestFastForwardFaultDelayIdentity(t *testing.T) {
-	run := func(noFF bool) string {
-		n, inj, sb := delayedNet(t)
-		e := sim.NewEngine()
-		e.Register(engineView(n, noFF))
-		e.MaxCycles = 100000
-		e.RunUntil(func() bool { return !n.Busy() })
-		if n.Busy() {
-			t.Fatal("network not drained")
+	for _, delay := range []uint64{40, 100} {
+		run := func(noFF bool) string {
+			n, inj, sb := delayedNet(t, delay)
+			e := sim.NewEngine()
+			e.Register(engineView(n, noFF))
+			e.MaxCycles = 100000
+			e.RunUntil(func() bool { return !n.Busy() })
+			if n.Busy() {
+				t.Fatal("network not drained")
+			}
+			fmt.Fprintf(sb, "census %+v\n", n.CensusNow())
+			fmt.Fprintf(sb, "stats %+v\n", inj.SnapshotStats())
+			return sb.String()
 		}
-		fmt.Fprintf(sb, "census %+v\n", n.CensusNow())
-		fmt.Fprintf(sb, "stats %+v\n", inj.SnapshotStats())
-		return sb.String()
+		ref := run(true) // tick every cycle
+		if got := run(false); got != ref {
+			t.Fatalf("delay %d: fast-forward diverged from per-cycle reference under fault delays:\nref:\n%s\ngot:\n%s", delay, ref, got)
+		}
 	}
-	ref := run(true) // tick every cycle
-	if got := run(false); got != ref {
-		t.Fatalf("fast-forward diverged from per-cycle reference under fault delays:\nref:\n%s\ngot:\n%s", ref, got)
+}
+
+// TestDelayedFlitHoldsBackItsLink pins the link FIFO under fault delays:
+// a flit sent after a delayed one on the same link, on another VC, must
+// not reach the downstream router first. A lock packet (delayed on every
+// link) and a control packet (never delayed) leave NI 0 one cycle apart
+// toward node 3 of a 4x1 mesh; at every hop the control packet's flit
+// must commit no earlier than the lock packet's.
+func TestDelayedFlitHoldsBackItsLink(t *testing.T) {
+	cfg := testConfig(4, 1, false)
+	n := MustNetwork(cfg)
+	n.SetFaults(fault.NewInjector(fault.Plan{DelayRate: 1, DelayCycles: 20, ClassMask: 1 << uint(ClassLock)}))
+	n.SetSink(3, func(uint64, *Packet) {})
+	lock := n.NewPacket(0, 3, ClassLock, VNetRequest, nil)
+	ctrl := n.NewPacket(0, 3, ClassCtrl, VNetResponse, nil)
+	n.Send(0, lock)
+	n.Send(0, ctrl)
+	// arrived[p][r] is the cycle p's flit first sat in router r's buffers.
+	arrived := map[*Packet][]uint64{lock: make([]uint64, 4), ctrl: make([]uint64, 4)}
+	for now := uint64(1); n.Busy(); now++ {
+		if now > 1000 {
+			t.Fatal("network did not drain")
+		}
+		n.Tick(now)
+		for _, r := range n.Routers {
+			for i := range r.in {
+				if vc := &r.in[i]; vc.n > 0 && arrived[vc.pkt] != nil && arrived[vc.pkt][r.id] == 0 {
+					arrived[vc.pkt][r.id] = now
+				}
+			}
+		}
+	}
+	if n.Faults().Stats.DelayedFlits.Load() == 0 {
+		t.Fatal("no flit was delayed")
+	}
+	for r := 0; r < 4; r++ {
+		a, c := arrived[lock][r], arrived[ctrl][r]
+		if a == 0 || c == 0 || c < a {
+			t.Errorf("router %d: delayed lock flit arrived at %d, the control flit behind it at %d", r, a, c)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -146,10 +145,9 @@ func TestFaultCorruptPriority(t *testing.T) {
 // leak VC allocations by design, so the network may legitimately never
 // drain; the run is cycle-bounded instead and the invariants are checked
 // mid-flight.
-func faultSignature(t *testing.T, plan fault.Plan, workers int) string {
+func faultSignature(t *testing.T, plan fault.Plan) string {
 	t.Helper()
 	cfg := testConfig(4, 4, true)
-	cfg.ParThreshold = -1 // force the parallel phases on whenever a pool is attached
 	n := MustNetwork(cfg)
 	inj := fault.NewInjector(plan)
 	n.SetFaults(inj)
@@ -164,12 +162,6 @@ func faultSignature(t *testing.T, plan fault.Plan, workers int) string {
 	}
 	e := sim.NewEngine()
 	e.Register(n)
-	if workers > 1 {
-		pool := par.NewPool(workers)
-		defer pool.Close()
-		e.SetTickPool(pool)
-		defer e.SetTickPool(nil)
-	}
 	rng := sim.NewRNG(17)
 	for s := 0; s < cfg.Nodes(); s++ {
 		for k := 0; k < 10; k++ {
@@ -192,9 +184,6 @@ func faultSignature(t *testing.T, plan fault.Plan, workers int) string {
 	const budget = 3000
 	e.MaxCycles = budget
 	e.RunUntil(func() bool { return !n.Busy() })
-	if workers > 1 && n.fusedCycles == 0 {
-		t.Fatalf("workers=%d forced sharding ran no fused cycle", workers)
-	}
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +199,8 @@ func faultSignature(t *testing.T, plan fault.Plan, workers int) string {
 
 // TestFaultSignatureDeterministic holds the injector to the same
 // determinism bar as the rest of the network: a fault plan must produce a
-// byte-identical simulation across repeated runs and across tick worker
-// counts — the hash-based fate draws are order-independent by design.
+// byte-identical simulation across repeated runs — the hash-based fate
+// draws are order-independent by design.
 func TestFaultSignatureDeterministic(t *testing.T) {
 	plan := fault.Plan{
 		Seed:      9,
@@ -220,11 +209,9 @@ func TestFaultSignatureDeterministic(t *testing.T) {
 		DelayRate: 0.1,
 		ClassMask: 0xffff,
 	}
-	ref := faultSignature(t, plan, 1)
-	for _, workers := range []int{1, 2, 4} {
-		if got := faultSignature(t, plan, workers); got != ref {
-			t.Fatalf("fault signature diverged at workers=%d", workers)
-		}
+	ref := faultSignature(t, plan)
+	if got := faultSignature(t, plan); got != ref {
+		t.Fatal("fault signature diverged on a repeated run")
 	}
 }
 
@@ -236,9 +223,9 @@ func TestZeroRateFaultsByteIdentical(t *testing.T) {
 		// faultSignature with a zero plan still attaches an injector; build
 		// the no-injector reference inline by reusing it with all rates 0
 		// and comparing against a detached run below.
-		return faultSignature(t, fault.Plan{}, 1)
+		return faultSignature(t, fault.Plan{})
 	}()
-	attached := faultSignature(t, fault.Plan{Seed: 1234}, 1)
+	attached := faultSignature(t, fault.Plan{Seed: 1234})
 	if bare != attached {
 		t.Fatal("zero-rate injector perturbed the simulation")
 	}

@@ -13,30 +13,50 @@ import (
 )
 
 // SetFaults attaches a fault injector to the network (nil detaches):
-// every flit-carrying link gets a stable id and the injector pointer,
-// every router gets the freeze hook, and the network itself gets the
-// priority-corruption hook. If the plan left ClassMask zero, flit faults
-// are restricted to the locking-protocol classes (lock + wakeup):
-// coherence control traffic has no retry path, so losing it is not a
-// recoverable fault but a broken machine.
+// every flit send asks it for the flit's fate, every router gets the
+// freeze hook, and the network itself gets the priority-corruption hook.
+// If the plan left ClassMask zero, flit faults are restricted to the
+// locking-protocol classes (lock + wakeup): coherence control traffic has
+// no retry path, so losing it is not a recoverable fault but a broken
+// machine. Attach before the run: the FIFO clamp of a delayed flit's link
+// starts from the flits in flight when the injector is attached.
 func (n *Network) SetFaults(inj *fault.Injector) {
+	n.faults = inj
+	n.lastDue = nil
+	flight := n.Cfg.LinkLatency
 	if inj != nil {
 		inj.DefaultClassMask(1<<uint(ClassLock) | 1<<uint(ClassWakeup))
+		flight += int(inj.DelayCycles())
+		n.resetLastDue()
 	}
-	n.faults = inj
-	for i, r := range n.Routers {
+	n.resizeWheel(flight)
+	for _, r := range n.Routers {
 		r.faults = inj
-		for d := Dir(0); d < NumDirs; d++ {
-			if l := r.outLink[d]; l != nil {
-				l.id = LinkID(i, d)
-				l.faults = inj
-			}
-		}
 	}
-	for i, ni := range n.NIs {
-		ni.toRouter.id = n.NILinkID(i)
-		ni.toRouter.faults = inj
+}
+
+// resetLastDue rebuilds the FIFO clamp's per-link due cycles from the
+// flits in the wheel: a link's last due cycle is its latest flit's, and a
+// link with no flit in flight needs no clamp.
+func (n *Network) resetLastDue() {
+	n.lastDue = make([]uint64, n.Cfg.Nodes()*int(NumDirs))
+	n.wheel.forEach(func(due uint64, ev flitEvent) {
+		k := int(ev.node)*int(NumDirs) + int(ev.port)
+		n.lastDue[k] = max(n.lastDue[k], due)
+	}, func(uint64, uint32) {})
+}
+
+// resizeWheel gives the wheel the span a link flight of flight cycles
+// needs, moving any events in flight into the new slots. A wheel holding
+// events never shrinks: they may be due further out than the new span.
+func (n *Network) resizeWheel(flight int) {
+	w := newWheel(flight)
+	if w.span() == n.wheel.span() || w.span() < n.wheel.span() && n.wheel.nflits+n.wheel.ncredits > 0 {
+		return
 	}
+	w.base = n.wheel.base
+	n.wheel.forEach(w.pushFlit, w.pushCredit)
+	n.wheel = w
 }
 
 // Faults returns the attached injector (nil when faults are off).
@@ -86,23 +106,20 @@ func (n *Network) CensusNow() Census {
 	if n.faults != nil {
 		c.Dropped = n.faults.Stats.DroppedTails.Load()
 	}
-	countLink := func(l *link) {
-		for _, ev := range l.flits {
-			if !ev.dup && !ev.drop && ev.f.isTail() {
+	n.wheel.forEach(func(_ uint64, ev flitEvent) {
+		if ev.fate == fateNormal && ev.isTail() {
+			c.LinkTails++
+		}
+	}, func(uint64, uint32) {})
+	for _, ni := range n.NIs {
+		c.Queued += ni.QueuedPkts
+		for _, ev := range ni.inFlits {
+			if ev.fate == fateNormal && int(ev.seq) == ev.pkt.Size-1 {
 				c.LinkTails++
 			}
 		}
 	}
-	for _, ni := range n.NIs {
-		c.Queued += ni.QueuedPkts
-		countLink(ni.toRouter)
-	}
 	for _, r := range n.Routers {
-		for d := Dir(0); d < NumDirs; d++ {
-			if l := r.outLink[d]; l != nil {
-				countLink(l)
-			}
-		}
 		for i := range r.in {
 			// A VC buffers flits of one packet, so its tail can only be
 			// the newest flit.
@@ -143,7 +160,7 @@ func (n *Network) CheckCreditBounds() error {
 	depth := n.Cfg.VCDepth
 	for _, r := range n.Routers {
 		for d := Dir(0); d < NumDirs; d++ {
-			if r.outLink[d] == nil {
+			if !n.Cfg.linked(r.id, d) {
 				continue
 			}
 			for v, cr := range r.out[d].credits {

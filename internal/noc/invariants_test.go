@@ -17,7 +17,7 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 	}
 	niEv, rf, qp := 0, 0, 0
 	for _, ni := range n.NIs {
-		niEv += len(ni.fromRouter.flits) + len(ni.toRouter.credits)
+		niEv += len(ni.inFlits) + len(ni.inCredits)
 		qp += ni.QueuedPkts
 	}
 	for _, r := range n.Routers {
@@ -26,6 +26,11 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 	if niEv != n.niEvents || rf != n.routerFlits || qp != n.queuedPkts {
 		t.Fatalf("cycle %d: niEvents %d/%d routerFlits %d/%d queuedPkts %d/%d",
 			now, niEv, n.niEvents, rf, n.routerFlits, qp, n.queuedPkts)
+	}
+	wf, wc := 0, 0
+	n.wheel.forEach(func(uint64, flitEvent) { wf++ }, func(uint64, uint32) { wc++ })
+	if wf != n.wheel.nflits || wc != n.wheel.ncredits {
+		t.Fatalf("cycle %d: wheel flits %d/%d credits %d/%d", now, wf, n.wheel.nflits, wc, n.wheel.ncredits)
 	}
 	for _, r := range n.Routers {
 		routed, active, fc := 0, 0, 0

@@ -23,9 +23,9 @@ type Stats struct {
 	LocalDeliveries uint64
 }
 
-// Network is a complete mesh NoC instance: routers, NIs and links. It
-// implements sim.Component; one Tick advances every router and NI by one
-// cycle in a deterministic two-phase (compute/commit) schedule.
+// Network is a complete mesh NoC instance: routers, NIs and the links
+// between them. It implements sim.Component; one Tick advances every
+// router and NI by one cycle in a deterministic phase order.
 type Network struct {
 	Cfg     Config
 	Routers []*Router
@@ -41,14 +41,12 @@ type Network struct {
 
 	// activity counts every unit of in-flight work: link events (flits and
 	// credits), router-buffered flits, NI packets (waiting or streaming) and
-	// pending loopback deliveries. Links, routers and NIs all mutate it
-	// through shared pointers, making Busy O(1) instead of an O(nodes) scan.
+	// pending loopback deliveries. Sends, routers and NIs all update it,
+	// making Busy O(1) instead of an O(nodes) scan.
 	activity int
-	// pendFlits/pendCredits list the router-consumed links currently holding
-	// undelivered events, so Tick skips the hundreds of empty ports.
-	pendFlits   []*link
-	pendCredits []*link
-	// Sub-counts of activity gating individual Tick phases: NI-consumed
+	// wheel holds the router-bound link events (see link.go).
+	wheel wheel
+	// Sub-counts of activity gating individual Tick phases: NI-bound
 	// link events (phase 2), router-buffered flits (phase 4) and NI-queued
 	// packets (phase 5). A phase whose count is zero is a provable no-op.
 	niEvents    int
@@ -68,32 +66,29 @@ type Network struct {
 	// the network has work without polling it.
 	waker sim.Waker
 
-	scratchF  []flitEvent
-	scratchC  []creditEvent
+	// routerSlab holds the routers Routers points into; the wheel drain
+	// indexes it directly. step[d] is the node-id offset of the neighbour
+	// one hop in direction d, and perRouter the router VCs per node: the
+	// credit arena (credits, vcAlloc) holds router i's output VCs at
+	// [i*perRouter, (i+1)*perRouter).
+	routerSlab []Router
+	step       [NumDirs]int
+	perRouter  int
+	credits    []int32
+	vcAlloc    []bool
+
+	scratchF  []niFlit
+	scratchC  []niCredit
 	scratchLB []loopbackEvent
-	// alloc is the sequential tick's VA/SA scratch, shared by every router
-	// the dispatching goroutine ticks (each shard worker carries its own).
+	// alloc is the VA/SA scratch every router's tick shares.
 	alloc allocScratch
 
-	// exec, when non-nil, is the sharded parallel tick executor (attached
-	// via SetTickPool). observed mirrors "an obs recorder is attached":
-	// the network then ticks sequentially, because routers and NIs emit
-	// into one shared recorder. parWork is the per-cycle work count
-	// (router-buffered flits plus pending links) from which a cycle runs
-	// fused rather than sequentially (see Config.ParThreshold; 0 shards
-	// every cycle with any work). fusedCycles counts the fused cycles: it
-	// paces the executor's rebalancing, and tests read it to tell a
-	// sharded run from a sequential one.
-	exec        *tickExec
-	observed    bool
-	parWork     int
-	fusedCycles uint64
-
 	// faults, when non-nil, is the attached fault injector (SetFaults).
-	// The network keeps its own pointer for the Send-side priority
-	// corruption hook and the conservation census; links and routers hold
-	// their own copies for the per-flit and per-tick decisions.
-	faults *fault.Injector
+	// It decides every flit's fate at send time, and lastDue holds, per
+	// receiving router port (node*NumDirs + port), the due cycle of the
+	// last flit its link carried: the FIFO clamp of sendFaulted.
+	faults  *fault.Injector
+	lastDue []uint64
 
 	// freshVCs caches freshVCRecord: the checkpoint encoding of the input
 	// VC records of a router that never buffered a flit.
@@ -120,103 +115,30 @@ func NewNetwork(cfg Config) (*Network, error) {
 	nodes := cfg.Nodes()
 	n.Routers = make([]*Router, nodes)
 	n.NIs = make([]*NI, nodes)
-	act := &n.activity
 	n.routerActive = newActSet(nodes)
 	n.niActive = newActSet(nodes)
 	n.niInject = newActSet(nodes)
-	// Structure-of-arrays state: routers, NIs, links and the per-VC credit
-	// and allocation arrays live in node-major arenas instead of per-object
-	// allocations, so the bytes one tick phase sweeps — and the bytes one
-	// shard owns — are contiguous. Routers/NIs stay exposed as []*Router /
-	// []*NI pointing into the slabs, keeping the public surface unchanged.
-	// Input VC records and their rings are not allocated here: each router
-	// builds its own on its first buffered flit.
-	routerSlab := make([]Router, nodes)
+	n.wheel = newWheel(cfg.LinkLatency)
+	n.step = [NumDirs]int{North: -cfg.Width, East: 1, South: cfg.Width, West: -1}
+	// Structure-of-arrays state: routers, NIs and the per-VC credit and
+	// allocation arrays live in node-major arenas instead of per-object
+	// allocations, so the bytes one tick phase sweeps are contiguous.
+	// Routers/NIs stay exposed as []*Router / []*NI pointing into the
+	// slabs. Input VC records and their rings are not allocated here: each
+	// router builds its own on its first buffered flit.
+	n.routerSlab = make([]Router, nodes)
 	niSlab := make([]NI, nodes)
-	perRouter := int(NumDirs) * cfg.VCs
-	creditArena := make([]int32, nodes*perRouter)
-	allocArena := make([]bool, nodes*perRouter)
+	n.perRouter = int(NumDirs) * cfg.VCs
+	n.credits = make([]int32, nodes*n.perRouter)
+	n.vcAlloc = make([]bool, nodes*n.perRouter)
 	niCreditArena := make([]int32, nodes*cfg.VCs)
 	niAllocArena := make([]bool, nodes*cfg.VCs)
 	for i := 0; i < nodes; i++ {
-		initRouter(&routerSlab[i], &n.Cfg, i, act, &n.routerFlits, &n.routerActive,
-			creditArena[i*perRouter:], allocArena[i*perRouter:])
-		n.Routers[i] = &routerSlab[i]
-		initNI(&niSlab[i], &n.Cfg, i, act, &n.queuedPkts, &n.niInject,
-			niCreditArena[i*cfg.VCs:], niAllocArena[i*cfg.VCs:])
+		initRouter(&n.routerSlab[i], n, i, n.credits[i*n.perRouter:], n.vcAlloc[i*n.perRouter:])
+		n.Routers[i] = &n.routerSlab[i]
+		initNI(&niSlab[i], n, i, niCreditArena[i*cfg.VCs:], niAllocArena[i*cfg.VCs:])
+		niSlab[i].onDeliver = n.recordDelivery
 		n.NIs[i] = &niSlab[i]
-	}
-	// Wire neighbour links. For each adjacent pair create two directed
-	// links, carved from one slab in node-major wiring order so a shard's
-	// links sit together. opposite(d) is the receiving side's port.
-	// srcNode/dstNode record the nodes owning the flit sender and flit
-	// receiver; the sharded executor classifies a link as shard-local when
-	// both map to the same shard.
-	linkSlab := make([]link, 2*(cfg.Width-1)*cfg.Height+2*cfg.Width*(cfg.Height-1)+2*nodes)
-	li := 0
-	newLink := func(src, dst int) *link {
-		l := &linkSlab[li]
-		li++
-		l.act = act
-		l.srcNode = int32(src)
-		l.dstNode = int32(dst)
-		return l
-	}
-	for i := 0; i < nodes; i++ {
-		r := n.Routers[i]
-		x, y := cfg.XY(i)
-		if x+1 < cfg.Width {
-			j := cfg.Node(x+1, y)
-			nbr := n.Routers[j]
-			east := newLink(i, j)
-			west := newLink(j, i)
-			r.outLink[East] = east
-			nbr.inLink[West] = east
-			nbr.outLink[West] = west
-			r.inLink[East] = west
-		}
-		if y+1 < cfg.Height {
-			j := cfg.Node(x, y+1)
-			nbr := n.Routers[j]
-			south := newLink(i, j)
-			north := newLink(j, i)
-			r.outLink[South] = south
-			nbr.inLink[North] = south
-			nbr.outLink[North] = north
-			r.inLink[South] = north
-		}
-		// NI <-> router local port: both endpoints are node i, so these
-		// links are always shard-local. The NI consumes inj's credits and
-		// ej's flits, so both carry its node index for niActive marking.
-		inj := newLink(i, i)
-		inj.niIdx = i
-		ej := newLink(i, i)
-		ej.niIdx = i
-		n.NIs[i].toRouter = inj
-		r.inLink[Local] = inj
-		r.outLink[Local] = ej
-		n.NIs[i].fromRouter = ej
-	}
-	for i := 0; i < nodes; i++ {
-		n.NIs[i].onDeliver = n.recordDelivery
-	}
-	// Register event consumers: a router consumes the flits of each of its
-	// input links and the credits of each of its output links. Links that
-	// appear in neither set (the NI sides of the local ports) are drained by
-	// the NI phases.
-	for _, r := range n.Routers {
-		for d := Dir(0); d < NumDirs; d++ {
-			if l := r.inLink[d]; l != nil {
-				l.net = n
-				l.flitRecv = r
-				l.flitDir = d
-			}
-			if l := r.outLink[d]; l != nil {
-				l.net = n
-				l.creditRecv = r
-				l.creditDir = d
-			}
-		}
 	}
 	return n, nil
 }
@@ -241,7 +163,6 @@ func (n *Network) SetSink(node int, fn func(now uint64, pkt *Packet)) {
 // recorded. All emission sites are read-only, so simulation results are
 // identical with or without a recorder.
 func (n *Network) SetObserver(r *obs.Recorder) {
-	n.observed = r != nil
 	for _, rt := range n.Routers {
 		rt.obs = r
 	}
@@ -339,58 +260,9 @@ func (n *Network) SetWaker(w sim.Waker) { n.waker = w }
 
 // Tick implements sim.Component.
 func (n *Network) Tick(now uint64) {
-	// Fused parallel cycle: with a pool attached, no observer, and enough
-	// work to amortize the barrier, run the NI-eject and loopback phases
-	// first (a byte-identical reordering — all link events are
-	// future-dated at send and the two phases write disjoint state; see
-	// the parallel.go package comment), then execute link drain, router
-	// allocation/traversal and NI injection under ONE fork-join barrier.
-	// NI-queued packets do not count as work: an NI injects at most one
-	// flit per cycle however many packets wait behind it.
-	if n.exec != nil && !n.observed {
-		if work := n.tickWork(); work >= n.parWork && (work > 0 || n.queuedPkts > 0) {
-			if n.niEvents > 0 {
-				n.drainNIs(now)
-			}
-			n.deliverLoopback(now)
-			n.tickFused(now)
-			return
-		}
-	}
-	// Phase 1: commit link events due this cycle into router buffers and
-	// router credit state. Only links holding events are on the pending
-	// lists; commits to distinct (router, port) pairs are independent, so
-	// list order (send order) yields the same state as the full port scan.
-	if len(n.pendFlits) > 0 {
-		keep := n.pendFlits[:0]
-		for _, l := range n.pendFlits {
-			if l.flits[0].at <= now {
-				n.scratchF = l.dueFlits(now, n.scratchF)
-				l.flitRecv.commit(now, n.scratchF, l.flitDir, nil)
-			}
-			if len(l.flits) > 0 {
-				keep = append(keep, l)
-			} else {
-				l.flitQueued = false
-			}
-		}
-		n.pendFlits = keep
-	}
-	if len(n.pendCredits) > 0 {
-		keep := n.pendCredits[:0]
-		for _, l := range n.pendCredits {
-			if l.credits[0].at <= now {
-				n.scratchC = l.dueCredits(now, n.scratchC)
-				l.creditRecv.commitCredits(n.scratchC, l.creditDir)
-			}
-			if len(l.credits) > 0 {
-				keep = append(keep, l)
-			} else {
-				l.creditQueued = false
-			}
-		}
-		n.pendCredits = keep
-	}
+	// Phase 1: commit the router-bound link events due by this cycle into
+	// router buffers and router credit state.
+	n.drainWheel(now)
 	// Phase 2: NI eject/credit absorption, in node order.
 	if n.niEvents > 0 {
 		n.drainNIs(now)
@@ -408,7 +280,7 @@ func (n *Network) Tick(now uint64) {
 			for ; sword != 0; sword &= sword - 1 {
 				w := sw<<6 | bits.TrailingZeros64(sword)
 				for word := n.routerActive.words[w]; word != 0; word &= word - 1 {
-					n.Routers[w<<6|bits.TrailingZeros64(word)].tick(now, nil, &n.alloc)
+					n.routerSlab[w<<6|bits.TrailingZeros64(word)].tick(now, &n.alloc)
 				}
 			}
 		}
@@ -422,25 +294,19 @@ func (n *Network) Tick(now uint64) {
 			for ; sword != 0; sword &= sword - 1 {
 				w := sw<<6 | bits.TrailingZeros64(sword)
 				for word := n.niInject.words[w]; word != 0; word &= word - 1 {
-					n.NIs[w<<6|bits.TrailingZeros64(word)].inject(now, nil)
+					n.NIs[w<<6|bits.TrailingZeros64(word)].inject(now)
 				}
 			}
 		}
 	}
 }
 
-// tickWork is the per-cycle work count the fused-tick gate weighs:
-// router-buffered flits plus links holding pending events.
-func (n *Network) tickWork() int {
-	return n.routerFlits + len(n.pendFlits) + len(n.pendCredits)
-}
-
 // drainNIs is Tick phase 2: NIs eject arrived flits and absorb credit
 // returns, in node order (delivery callbacks are order-sensitive; bit
 // iteration is ascending, so the order is the same as the full scan's). A
-// bit stays set while its links hold events — including future-dated ones
-// — and is cleared only here, once both queues drain; sends during this
-// phase go to router-consumed links, so no bit is set mid-iteration.
+// bit stays set while its queues hold events — including future-dated
+// ones — and is cleared only here, once both drain; sends during this
+// phase go onto the wheel, so no bit is set mid-iteration.
 func (n *Network) drainNIs(now uint64) {
 	for sw, sword := range n.niActive.sum {
 		for ; sword != 0; sword &= sword - 1 {
@@ -448,13 +314,13 @@ func (n *Network) drainNIs(now uint64) {
 			for word := n.niActive.words[w]; word != 0; word &= word - 1 {
 				i := w<<6 | bits.TrailingZeros64(word)
 				ni := n.NIs[i]
-				if len(ni.fromRouter.flits) > 0 {
+				if len(ni.inFlits) > 0 {
 					ni.eject(now)
 				}
-				if len(ni.toRouter.credits) > 0 {
+				if len(ni.inCredits) > 0 {
 					ni.commitCredits(now)
 				}
-				if len(ni.fromRouter.flits) == 0 && len(ni.toRouter.credits) == 0 {
+				if len(ni.inFlits) == 0 && len(ni.inCredits) == 0 {
 					n.niActive.clear(i)
 				}
 			}
@@ -516,31 +382,31 @@ func (n *Network) NextWake(now uint64) uint64 {
 //     phases may act every cycle (allocation depends on credit state that
 //     is expensive to predict), so answer conservatively with now+1 —
 //     these phases are also the busy case where skipping buys nothing.
-//   - router-consumed link events: senders append in increasing `at`
-//     order and drains consume due-prefixes, so the head's `at` bounds
-//     when work exists — and the wake is head.at + 1, a deliberate
-//     one-cycle-lazy drain. Committing a router-bound event one cycle
-//     late is invisible: arrival state is stamped from ev.at (commit), so
-//     the flit's staging eligibility is unchanged; an eligible flit could
-//     anyway act no earlier than at+1 (allocation requires now > arrival);
-//     and a credit committed at at+1 instead of at can only be read by
+//   - router-bound flit events: the earliest flit slot of the wheel
+//     bounds when work exists — and the wake is that cycle + 1, a
+//     deliberate one-cycle-lazy drain. Committing a router-bound flit one
+//     cycle late is invisible: commit stamps the slot's cycle, so the
+//     flit's staging eligibility is unchanged; an eligible flit could
+//     anyway act no earlier than its arrival + 1 (allocation requires now
+//     > arrival); and a credit committed a cycle late can only be read by
 //     the allocators of a router holding flits, which forces the now+1
 //     answer above and so excludes any deferral. Folding the arrival
 //     commit into the cycle the flit first acts halves the executed
 //     cycles of an uncontended hop.
-//   - credit events (router- or NI-consumed): fully shadowed. Credit
-//     state is only ever read by the VA/SA allocators of a router holding
-//     flits and by an NI with queued packets, and either reader forces
-//     the per-cycle now+1 answer above — so while credits alone remain,
+//   - credit events (router- or NI-bound): fully shadowed. Credit state
+//     is only ever read by the VA/SA allocators of a router holding flits
+//     and by an NI with queued packets, and either reader forces the
+//     per-cycle now+1 answer above — so while credits alone remain,
 //     nothing can observe when they commit. Pending credits therefore
-//     contribute a single deferred horizon, the latest credit's `at`
-//     (per-link queues are nondecreasing in `at`, so that is the last
-//     element's), letting one wake commit every credit at once instead of
-//     one wake per batch. Any earlier flit-driven tick still commits the
-//     due prefix first (Tick phase 1 precedes the router phase), so a
-//     reader that does appear sees exactly the eager-drain credit state.
-//   - NI-consumed flit events (found through the niActive hierarchy):
-//     exact head `at`. Ejection timing is externally visible (delivery
+//     contribute a single deferred horizon, the latest credit's due cycle
+//     (the wheel's latest credit slot; an NI's queue is nondecreasing, so
+//     its last element's), letting one wake commit every credit at once
+//     instead of one wake per batch. Any earlier flit-driven tick still
+//     commits the due credits first (Tick phase 1 precedes the router
+//     phase), so a reader that does appear sees exactly the eager-drain
+//     credit state.
+//   - NI-bound flit events (found through the niActive hierarchy): exact
+//     head `at`. Ejection timing is externally visible (delivery
 //     callbacks, DeliveredAt), so these are never deferred.
 //   - loopback deliveries: the queue is appended in increasing `at` order,
 //     so its head is the next delivery; delivery timing is visible, so it
@@ -561,19 +427,12 @@ func (n *Network) NextEventCycle(now uint64) uint64 {
 	if len(n.loopback) > 0 {
 		next = n.loopback[0].at
 	}
-	for _, l := range n.pendFlits {
-		if at := l.flits[0].at + 1; at < next {
-			if at <= floor {
-				return floor
-			}
-			next = at
-		}
+	if n.wheel.nflits > 0 {
+		next = min(next, n.wheel.firstFlit()+1)
 	}
 	var creditHorizon uint64
-	for _, l := range n.pendCredits {
-		if at := l.credits[len(l.credits)-1].at; at > creditHorizon {
-			creditHorizon = at
-		}
+	if n.wheel.ncredits > 0 {
+		creditHorizon = n.wheel.lastCredit()
 	}
 	if n.niEvents > 0 {
 		for sw, sword := range n.niActive.sum {
@@ -581,10 +440,10 @@ func (n *Network) NextEventCycle(now uint64) uint64 {
 				w := sw<<6 | bits.TrailingZeros64(sword)
 				for word := n.niActive.words[w]; word != 0; word &= word - 1 {
 					ni := n.NIs[w<<6|bits.TrailingZeros64(word)]
-					if fs := ni.fromRouter.flits; len(fs) > 0 && fs[0].at < next {
+					if fs := ni.inFlits; len(fs) > 0 && fs[0].at < next {
 						next = fs[0].at
 					}
-					if cs := ni.toRouter.credits; len(cs) > 0 && cs[len(cs)-1].at > creditHorizon {
+					if cs := ni.inCredits; len(cs) > 0 && cs[len(cs)-1].at > creditHorizon {
 						creditHorizon = cs[len(cs)-1].at
 					}
 				}
@@ -612,8 +471,8 @@ func (n *Network) Busy() bool {
 	return n.activity > 0
 }
 
-// scanBusy recomputes Busy by walking every router, link and NI. Tests
-// assert it always agrees with the incremental counter.
+// scanBusy recomputes Busy by walking every router, NI and wheel slot.
+// Tests assert it always agrees with the incremental counter.
 func (n *Network) scanBusy() bool {
 	if len(n.loopback) > 0 {
 		return true
@@ -622,14 +481,14 @@ func (n *Network) scanBusy() bool {
 		if r.flitCount > 0 {
 			return true
 		}
-		for d := Dir(0); d < NumDirs; d++ {
-			if l := r.inLink[d]; l != nil && l.pending() > 0 {
-				return true
-			}
-		}
 	}
 	for _, ni := range n.NIs {
-		if ni.pendingWork() || ni.toRouter.pending() > 0 || ni.fromRouter.pending() > 0 {
+		if ni.pendingWork() || len(ni.inFlits) > 0 || len(ni.inCredits) > 0 {
+			return true
+		}
+	}
+	for i := range n.wheel.flits {
+		if len(n.wheel.flits[i]) > 0 || len(n.wheel.credits[i]) > 0 {
 			return true
 		}
 	}

@@ -28,11 +28,12 @@ type NI struct {
 	cfg  *Config
 	node int
 
-	// toRouter carries our flits toward the router's Local input port;
-	// credits for it flow back on the same link.
-	toRouter *link
-	// fromRouter carries flits ejected to us; we return credits on it.
-	fromRouter *link
+	// inFlits holds the flits in flight on the router's ejection link
+	// toward this NI, and inCredits the credits in flight from the
+	// router's Local input port back to it; both are FIFO in due order
+	// (a fault-delayed flit holds back the flits behind it).
+	inFlits   []niFlit
+	inCredits []niCredit
 
 	outCredits []int32
 	outAlloc   []bool
@@ -46,29 +47,24 @@ type NI struct {
 	// obs, when non-nil, receives packet injection/ejection events.
 	obs *obs.Recorder
 
-	// act points at the network-wide activity counter; each waiting or
-	// streaming packet contributes one unit. qp mirrors QueuedPkts into the
-	// network's queued-packet total, which gates the injection phase, and
-	// injSet is the shared niInject bitmap: this NI keeps its bit equal to
-	// QueuedPkts > 0 so the injection phase skips idle interfaces.
-	act    *int
-	qp     *int
-	injSet *actSet
+	// net is the owning network: each waiting or streaming packet counts
+	// in its activity and queued-packet totals, and the NI keeps its bit
+	// of the network's niInject set equal to QueuedPkts > 0 so the
+	// injection phase skips idle interfaces.
+	net *Network
 
 	// Stats
 	Injected   [NumClasses]uint64
 	Delivered  [NumClasses]uint64
 	FlitsSent  uint64
 	QueuedPkts int // packets waiting or streaming
-
-	scratchF []flitEvent
-	scratchC []creditEvent
 }
 
 // initNI initialises a slab-allocated NI in place; credits and allocs are
-// VCs-sized subslices of the caller's network-wide node-major arenas.
-func initNI(ni *NI, cfg *Config, node int, act, qp *int, injSet *actSet, credits []int32, allocs []bool) {
-	*ni = NI{cfg: cfg, node: node, act: act, qp: qp, injSet: injSet}
+// VCs-sized subslices of the network's node-major arenas.
+func initNI(ni *NI, n *Network, node int, credits []int32, allocs []bool) {
+	cfg := &n.Cfg
+	*ni = NI{cfg: cfg, node: node, net: n}
 	ni.outCredits = credits[:cfg.VCs:cfg.VCs]
 	ni.outAlloc = allocs[:cfg.VCs:cfg.VCs]
 	for v := range ni.outCredits {
@@ -85,53 +81,72 @@ func (ni *NI) enqueue(now uint64, pkt *Packet) {
 	pkt.EnqueuedAt = now
 	ni.queues[pkt.VNet] = append(ni.queues[pkt.VNet], pkt)
 	if ni.QueuedPkts == 0 {
-		ni.injSet.set(ni.node)
+		ni.net.niInject.set(ni.node)
 	}
 	ni.QueuedPkts++
-	*ni.act++
-	*ni.qp++
+	ni.net.activity++
+	ni.net.queuedPkts++
 }
 
 // eject absorbs flits delivered by the router this cycle, returning one
 // credit per flit and completing packets on tail flits.
 func (ni *NI) eject(now uint64) {
-	ni.scratchF = ni.fromRouter.dueFlits(now, ni.scratchF)
-	for _, ev := range ni.scratchF {
-		if ev.dup {
+	n := ni.net
+	k := 0
+	for k < len(ni.inFlits) && ni.inFlits[k].at <= now {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	n.scratchF = takeDue(&ni.inFlits, n.scratchF, k)
+	n.activity -= k
+	n.niEvents -= k
+	at := now + uint64(ni.cfg.LinkLatency)
+	for _, ev := range n.scratchF {
+		if ev.fate == fateDup {
 			// Injected duplicate: discard before touching the packet (the
 			// original may have been delivered and recycled earlier in this
 			// very batch) and return no credit — the router never budgeted
 			// buffer space for it.
 			continue
 		}
-		if ev.drop {
-			// Injected drop at the ejection port: the router budgeted the
-			// slot, so return its credit, but never deliver the packet.
-			ni.fromRouter.sendCredit(ev.vc, ev.f.isTail(), now+uint64(ni.cfg.LinkLatency))
+		tail := int(ev.seq) == ev.pkt.Size-1
+		// A drop at the ejection port still returns the credit the router
+		// budgeted, but never delivers the packet.
+		n.pushCredit(at, n.creditIndex(ni.node, Local, int(ev.vc)), tail)
+		if ev.fate == fateDrop || !tail {
 			continue
 		}
-		ni.fromRouter.sendCredit(ev.vc, ev.f.isTail(), now+uint64(ni.cfg.LinkLatency))
-		if ev.f.isTail() {
-			pkt := ev.f.pkt
-			pkt.DeliveredAt = now
-			ni.Delivered[pkt.Class]++
-			if ni.obs != nil {
-				ni.obs.PktEjected(now, pkt.ID, ni.node, pkt.Hops, pkt.NetLatency(), pkt.TotalLatency(), uint8(pkt.Class))
-			}
-			if ni.onDeliver != nil {
-				ni.onDeliver(pkt)
-			}
-			if ni.sink != nil {
-				ni.sink(now, pkt)
-			}
+		pkt := ev.pkt
+		pkt.DeliveredAt = now
+		ni.Delivered[pkt.Class]++
+		if ni.obs != nil {
+			ni.obs.PktEjected(now, pkt.ID, ni.node, pkt.Hops, pkt.NetLatency(), pkt.TotalLatency(), uint8(pkt.Class))
+		}
+		if ni.onDeliver != nil {
+			ni.onDeliver(pkt)
+		}
+		if ni.sink != nil {
+			ni.sink(now, pkt)
 		}
 	}
 }
 
 // commitCredits absorbs credit returns from the router's Local input port.
 func (ni *NI) commitCredits(now uint64) {
-	ni.scratchC = ni.toRouter.dueCredits(now, ni.scratchC)
-	for _, ev := range ni.scratchC {
+	n := ni.net
+	k := 0
+	for k < len(ni.inCredits) && ni.inCredits[k].at <= now {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	n.scratchC = takeDue(&ni.inCredits, n.scratchC, k)
+	n.activity -= k
+	n.niEvents -= k
+	for _, ev := range n.scratchC {
 		ni.outCredits[ev.vc]++
 		if int(ni.outCredits[ev.vc]) > ni.cfg.VCDepth {
 			panic(fmt.Sprintf("noc: NI %d credit overflow on vc %d", ni.node, ev.vc))
@@ -143,12 +158,8 @@ func (ni *NI) commitCredits(now uint64) {
 }
 
 // inject opens streams for waiting packets and sends at most one flit onto
-// the local link (link bandwidth is one flit per cycle). With sh non-nil
-// the stream bookkeeping stays NI-local but the shared counters, niInject
-// bitmap bit and link send registration are deferred into the shard for
-// the ordered commit phase (injection never enqueues on another NI, so the
-// per-NI state needs no deferral).
-func (ni *NI) inject(now uint64, sh *tickShard) {
+// the local link (link bandwidth is one flit per cycle).
+func (ni *NI) inject(now uint64) {
 	// Open a stream per vnet whenever a VC is free. Under OCOR pick the
 	// highest-priority waiting packet of the vnet, not merely the oldest.
 	for vn := 0; vn < NumVNets; vn++ {
@@ -210,11 +221,14 @@ func (ni *NI) inject(now uint64, sh *tickShard) {
 			ni.obs.PktInjected(now, st.pkt.ID, ni.node, st.pkt.Dst, uint8(st.pkt.Class), st.pkt.VNet, st.pkt.Size, st.pkt.Prio)
 		}
 	}
-	f := flit{pkt: st.pkt, seq: st.next}
-	if sh == nil {
-		ni.toRouter.sendFlit(f, st.vc, now+uint64(ni.cfg.LinkLatency))
+	n := ni.net
+	ev := flitEvent{pkt: st.pkt, seq: int32(st.next), node: int32(ni.node), port: Local, vc: uint8(st.vc)}
+	at := now + uint64(ni.cfg.LinkLatency)
+	if n.faults != nil {
+		n.sendFaulted(at, ev, n.NILinkID(ni.node))
 	} else {
-		ni.toRouter.sendFlitPar(f, st.vc, now+uint64(ni.cfg.LinkLatency), sh)
+		n.wheel.pushFlit(at, ev)
+		n.activity++
 	}
 	ni.outCredits[st.vc]--
 	ni.FlitsSent++
@@ -222,18 +236,10 @@ func (ni *NI) inject(now uint64, sh *tickShard) {
 	if st.next == st.pkt.Size {
 		ni.active[best] = activeStream{}
 		ni.QueuedPkts--
-		if sh == nil {
-			*ni.act--
-			*ni.qp--
-			if ni.QueuedPkts == 0 {
-				ni.injSet.clear(ni.node)
-			}
-		} else {
-			sh.actDelta--
-			sh.qpDelta--
-			if ni.QueuedPkts == 0 {
-				sh.idleNI = append(sh.idleNI, int32(ni.node))
-			}
+		n.activity--
+		n.queuedPkts--
+		if ni.QueuedPkts == 0 {
+			n.niInject.clear(ni.node)
 		}
 	}
 }

@@ -46,6 +46,8 @@ func TestConfigValidate(t *testing.T) {
 		{"VCDepth past the bound", Config{Width: 2, Height: 2, VCDepth: MaxVCDepth + 1}, "VCDepth"},
 		{"VCDepth past int32", Config{Width: 2, Height: 2, VCDepth: 1 << 31}, "VCDepth"},
 		{"DataPacketFlits past the bound", Config{Width: 2, Height: 2, DataPacketFlits: MaxPacketFlits + 1}, "DataPacketFlits"},
+		{"LinkLatency past the bound", Config{Width: 2, Height: 2, LinkLatency: MaxLinkLatency + 1}, "LinkLatency"},
+		{"mesh past the credit index", Config{Width: 1 << 14, Height: 1 << 13}, "Width/Height"},
 	} {
 		err := c.cfg.Validate()
 		var ce *ConfigError
@@ -53,7 +55,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("%s: Validate() = %v, want a *ConfigError on %s", c.name, err, c.field)
 		}
 	}
-	atBounds := Config{Width: 2, Height: 2, VCDepth: MaxVCDepth, DataPacketFlits: MaxPacketFlits}
+	atBounds := Config{Width: 2, Height: 2, VCDepth: MaxVCDepth, DataPacketFlits: MaxPacketFlits, LinkLatency: MaxLinkLatency}
 	if err := atBounds.Validate(); err != nil {
 		t.Fatalf("buffers at the bounds rejected: %v", err)
 	}

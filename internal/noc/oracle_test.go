@@ -5,8 +5,8 @@ import "repro/internal/sim"
 // busyTicked is the fast-forward oracle: it embeds the network and
 // answers NextWake with now+1 whenever the network is busy, so an engine
 // ticks it on every cycle that holds in-flight work instead of jumping to
-// NextEventCycle. Tick, SetWaker and SetTickPool are promoted, so it
-// registers and takes a tick pool exactly like the bare network.
+// NextEventCycle. Tick and SetWaker are promoted, so it registers
+// exactly like the bare network.
 type busyTicked struct{ *Network }
 
 // NextWake implements sim.Component.

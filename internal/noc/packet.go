@@ -102,14 +102,3 @@ func (p *Packet) NetLatency() uint64 { return p.DeliveredAt - p.InjectedAt }
 
 // TotalLatency includes NI source queueing.
 func (p *Packet) TotalLatency() uint64 { return p.DeliveredAt - p.EnqueuedAt }
-
-// flit is a flow-control unit. Flits of one packet share the Packet
-// pointer; seq 0 is the head flit, seq Size-1 the tail. A single-flit
-// packet is simultaneously head and tail.
-type flit struct {
-	pkt *Packet
-	seq int
-}
-
-func (f flit) isHead() bool { return f.seq == 0 }
-func (f flit) isTail() bool { return f.seq == f.pkt.Size-1 }

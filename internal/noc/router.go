@@ -51,9 +51,6 @@ type vcBuf struct {
 	headVNet uint8
 }
 
-// head returns the oldest buffered flit.
-func (v *vcBuf) head() flit { return flit{pkt: v.pkt, seq: int(v.seq)} }
-
 // push appends a flit that arrived at cycle at to the VC's ring.
 func (v *vcBuf) push(ring []uint64, at uint64) {
 	i := int(v.hd) + int(v.n)
@@ -136,12 +133,6 @@ type Router struct {
 	rings []uint64
 	out   [NumDirs]outPort
 
-	// inLink[d] carries flits arriving from direction d (credits we emit
-	// travel upstream on the same link); outLink[d] carries flits we send
-	// toward direction d.
-	inLink  [NumDirs]*link
-	outLink [NumDirs]*link
-
 	// flitCount is the total number of buffered flits; the router is
 	// skipped entirely when zero.
 	flitCount int
@@ -158,15 +149,11 @@ type Router struct {
 	// vcRouted / vcActive states, gating VA and SA respectively.
 	routedCount int
 	activeCount int
-	// act points at the network-wide activity counter; buffered flits
-	// contribute one unit each. rf mirrors flitCount into the network's
-	// router-flit total, which gates the router phase of Network.Tick.
-	act *int
-	rf  *int
-	// activeSet is the network's flit-holding-router bitmap; the router
-	// keeps its bit (id) in sync as flitCount crosses zero so the router
-	// phase of Network.Tick iterates only live routers.
-	activeSet *actSet
+	// net is the owning network: buffered flits count in its activity
+	// and router-flit totals, the router keeps its bit of the network's
+	// flit-holding-router set equal to flitCount > 0, and traversal sends
+	// through it.
+	net *Network
 
 	Stats RouterStats
 
@@ -192,9 +179,8 @@ type saCand struct {
 // allocScratch holds the VA/SA scratch buffers reused across cycles to
 // avoid allocation: vaPerOut groups VA requests by output direction in a
 // single input scan; vaKeys caches head-flit priority keys for the priority
-// VA arbiter. The scratch lives per execution context — one for the
-// sequential Network, one per shard — instead of per router, so a mesh of
-// N routers carries one warm working set through the allocation sweep
+// VA arbiter. The network holds one for all its routers, so a mesh of N
+// routers carries one warm working set through the allocation sweep
 // rather than N cold ones.
 type allocScratch struct {
 	vaPerOut [NumDirs][]vaReq
@@ -204,12 +190,11 @@ type allocScratch struct {
 
 // initRouter initialises a slab-allocated Router in place. The output-port
 // credit and allocation arrays (NumDirs*VCs entries each) are carved from
-// the caller's network-wide node-major arenas, so consecutive routers'
-// credit state is contiguous in memory; the input VCs wait for build.
-func initRouter(r *Router, cfg *Config, id int, act, rf *int, activeSet *actSet,
-	credits []int32, allocs []bool) {
-	*r = Router{cfg: cfg, id: id, act: act, rf: rf, activeSet: activeSet,
-		vcs: cfg.VCs, depth: cfg.VCDepth, prio: cfg.Priority}
+// the network's node-major arenas, so consecutive routers' credit state is
+// contiguous in memory; the input VCs wait for build.
+func initRouter(r *Router, n *Network, id int, credits []int32, allocs []bool) {
+	cfg := &n.Cfg
+	*r = Router{cfg: cfg, id: id, net: n, vcs: cfg.VCs, depth: cfg.VCDepth, prio: cfg.Priority}
 	r.x, r.y = cfg.XY(id)
 	for vn := 0; vn < NumVNets; vn++ {
 		lo, hi := cfg.VCRange(vn)
@@ -226,9 +211,7 @@ func initRouter(r *Router, cfg *Config, id int, act, rf *int, activeSet *actSet,
 }
 
 // build allocates the input VC records and their rings, on the router's
-// first buffered flit. Commit calls it, inside a shard worker during a
-// fused tick; each router belongs to exactly one shard, so that is
-// race-free.
+// first buffered flit.
 func (r *Router) build() {
 	r.in = make([]vcBuf, int(NumDirs)*r.vcs)
 	r.rings = make([]uint64, len(r.in)*r.depth)
@@ -278,126 +261,71 @@ func (r *Router) route(dst int) Dir {
 	}
 }
 
-// commit absorbs flit arrivals and credit returns due this cycle. sh, when
-// non-nil, marks a parallel drain phase: the network-wide activity/flit
-// counters and the shared active-router bitmap (whose 64-router words span
-// shard boundaries) must not be written concurrently, so their updates are
-// accumulated in the shard and applied by the commit phase in shard order.
-// Everything else commit touches is owned by this router alone.
-func (r *Router) commit(now uint64, fs []flitEvent, dir Dir, sh *tickShard) {
-	// eff is the event's effective arrival cycle: the cycle a per-cycle
-	// drain would first have committed it. Queues are FIFO but not sorted
-	// by `at` — a fault-delayed event can sit ahead of earlier-due ones and
-	// block them in the queue — so the effective arrival is the running
-	// maximum of `at` over the batch, not the event's own stamp. On every
-	// eager drain eff == now for the whole batch; it differs only when
-	// fast-forward commits a router-bound head lazily (one cycle past its
-	// due cycle, see NextEventCycle), and then the arrival-relative stamp
-	// is exactly what keeps the lazy drain byte-identical.
-	eff := uint64(0)
-	for _, ev := range fs {
-		if ev.at > eff {
-			eff = ev.at
-		}
-		if ev.dup {
-			// Injected duplicate: discard before touching the packet (the
-			// original may have been delivered and recycled already). The
-			// link-level accounting for the event was settled by the drain.
-			continue
-		}
-		if ev.drop {
-			// Injected drop, detected on arrival: discard the flit and
-			// immediately credit the buffer slot it would have occupied
-			// back upstream (freeing the VC on the tail), exactly what a
-			// buffered flit's eventual departure would have returned. The
-			// whole packet shares the fate on this link, so the input VC
-			// never sees a partial train. In a parallel drain the upstream
-			// side of this very link may be concurrently draining its
-			// credit queue, so the send is deferred into the shard. The
-			// return is timed from the effective arrival cycle, not the
-			// drain cycle (see eff above).
-			at := eff + uint64(r.cfg.LinkLatency)
-			if sh == nil {
-				r.inLink[dir].sendCredit(ev.vc, ev.f.isTail(), at)
-			} else {
-				sh.dropCredits = append(sh.dropCredits, dropCredit{
-					l: r.inLink[dir], vc: ev.vc, freeVC: ev.f.isTail(), at: at,
-				})
-			}
-			continue
-		}
-		if r.in == nil {
-			r.build()
-		}
-		i := int(dir)*r.vcs + ev.vc
-		vc := &r.in[i]
-		if int(vc.n) >= r.depth {
-			panic(fmt.Sprintf("noc: router %d dir %s vc %d buffer overflow", r.id, dir, ev.vc))
-		}
-		f := ev.f
-		if vc.n == 0 {
-			vc.pkt, vc.seq = f.pkt, int32(f.seq)
-			vc.headKey = f.pkt.Prio.Key()
-			vc.headVNet = uint8(f.pkt.VNet)
-		} else if f.pkt != vc.pkt || f.seq != int(vc.seq)+int(vc.n) {
-			panic(fmt.Sprintf("noc: router %d dir %s vc %d: flit %d of packet %d behind flit %d of packet %d",
-				r.id, dir, ev.vc, f.seq, f.pkt.ID, int(vc.seq)+int(vc.n)-1, vc.pkt.ID))
-		}
-		if f.isHead() {
-			if vc.state != vcIdle {
-				panic(fmt.Sprintf("noc: router %d dir %s vc %d head flit into busy VC", r.id, dir, ev.vc))
-			}
-			vc.state = vcRouted
-			vc.outDir = r.route(f.pkt.Dst)
-			r.routedCount++
-			r.routedMask[dir] |= 1 << uint(ev.vc)
-		}
-		// Stamp the effective arrival cycle (== now on every eager drain):
-		// the allocators' staging test is relative to when the flit reached
-		// the buffer, so a lazy drain leaves the flit's allocation
-		// eligibility, and with it every downstream decision, unchanged.
-		vc.push(r.ring(i), eff)
-		if sh == nil {
-			if r.flitCount == 0 {
-				r.activeSet.set(r.id)
-			}
-			*r.act++
-			*r.rf++
-		} else {
-			if r.flitCount == 0 {
-				sh.nowActive = append(sh.nowActive, int32(r.id))
-			}
-			sh.actDelta++
-			sh.rfDelta++
-		}
-		r.flitCount++
-		r.portFlits[dir]++
+// commit absorbs flit event ev, which arrived at cycle at: the cycle of
+// the wheel slot it was due in. That is the cycle an eager drain commits
+// it in; fast-forward may commit a router-bound flit one cycle late (see
+// NextEventCycle), and stamping the arrival cycle rather than the drain
+// cycle is exactly what keeps such a lazy drain byte-identical.
+func (r *Router) commit(at uint64, ev *flitEvent) {
+	switch ev.fate {
+	case fateDup:
+		// Injected duplicate: discard before touching the packet. The
+		// wheel settled its accounting.
+		return
+	case fateDrop:
+		// Injected drop, detected on arrival: discard the flit and
+		// immediately credit the buffer slot it would have occupied back
+		// upstream (freeing the VC on the tail), exactly what a buffered
+		// flit's eventual departure would have returned. The whole packet
+		// shares the fate on this link, so the input VC never sees a
+		// partial train. The return is timed from the arrival cycle.
+		r.net.sendCredit(r.id, ev.port, int(ev.vc), ev.isTail(), at+uint64(r.cfg.LinkLatency))
+		return
 	}
-}
-
-func (r *Router) commitCredits(cs []creditEvent, dir Dir) {
-	op := &r.out[dir]
-	for _, ev := range cs {
-		op.credits[ev.vc]++
-		if int(op.credits[ev.vc]) > r.cfg.VCDepth {
-			panic(fmt.Sprintf("noc: router %d dir %s vc %d credit overflow", r.id, dir, ev.vc))
-		}
-		if ev.freeVC {
-			op.alloc[ev.vc] = false
-		}
+	if r.in == nil {
+		r.build()
 	}
+	dir := ev.port
+	i := int(dir)*r.vcs + int(ev.vc)
+	vc := &r.in[i]
+	if int(vc.n) >= r.depth {
+		panic(fmt.Sprintf("noc: router %d dir %s vc %d buffer overflow", r.id, dir, ev.vc))
+	}
+	if vc.n == 0 {
+		vc.pkt, vc.seq = ev.pkt, ev.seq
+		vc.headKey = ev.pkt.Prio.Key()
+		vc.headVNet = uint8(ev.pkt.VNet)
+	} else if ev.pkt != vc.pkt || ev.seq != vc.seq+int32(vc.n) {
+		panic(fmt.Sprintf("noc: router %d dir %s vc %d: flit %d of packet %d behind flit %d of packet %d",
+			r.id, dir, ev.vc, ev.seq, ev.pkt.ID, int(vc.seq)+int(vc.n)-1, vc.pkt.ID))
+	}
+	if ev.seq == 0 {
+		if vc.state != vcIdle {
+			panic(fmt.Sprintf("noc: router %d dir %s vc %d head flit into busy VC", r.id, dir, ev.vc))
+		}
+		vc.state = vcRouted
+		vc.outDir = r.route(ev.pkt.Dst)
+		r.routedCount++
+		r.routedMask[dir] |= 1 << ev.vc
+	}
+	// The allocators' staging test is relative to when the flit reached
+	// the buffer, so a lazy drain leaves the flit's allocation
+	// eligibility, and with it every downstream decision, unchanged.
+	vc.push(r.ring(i), at)
+	n := r.net
+	if r.flitCount == 0 {
+		n.routerActive.set(r.id)
+	}
+	n.activity++
+	n.routerFlits++
+	r.flitCount++
+	r.portFlits[dir]++
 }
 
 // tick runs stage one (VA + SA over flits that have sat one cycle) and
-// stage two (switch traversal) of the pipeline. sh, when non-nil, marks a
-// parallel compute phase: every decision reads cycle-start state that no
-// other router writes this cycle (routers interact only through link
-// events committed in later cycles), and traversal defers its
-// shared-state side effects into the shard. sc is the execution context's
-// allocation scratch (shared across the routers one goroutine ticks).
-// Observers must be detached in parallel mode — the allocators emit into a
-// shared recorder.
-func (r *Router) tick(now uint64, sh *tickShard, sc *allocScratch) {
+// stage two (switch traversal) of the pipeline. sc is the network's
+// allocation scratch, shared across the routers it ticks.
+func (r *Router) tick(now uint64, sc *allocScratch) {
 	if r.flitCount == 0 {
 		return
 	}
@@ -408,7 +336,7 @@ func (r *Router) tick(now uint64, sh *tickShard, sc *allocScratch) {
 		return
 	}
 	r.allocateVCs(now, sc)
-	r.allocateSwitch(now, sh, sc)
+	r.allocateSwitch(now, sc)
 }
 
 // allocateVCs performs virtual-channel allocation for input VCs in the
@@ -591,7 +519,7 @@ func (r *Router) tryAssignVC(now uint64, op *outPort, req vaReq) bool {
 // candidates the lower VC index — a request-vnet VC before a
 // response-vnet one — always wins (a known deviation from a round-robin
 // local arbiter; see EXPERIMENTS.md).
-func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
+func (r *Router) allocateSwitch(now uint64, sc *allocScratch) {
 	if r.activeCount == 0 {
 		return
 	}
@@ -634,7 +562,7 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 		c := cands[0]
 		vc := r.vc(c.dir, c.vc)
 		r.out[vc.outDir].saPtr = 0
-		r.traverse(now, c.dir, c.vc, sh)
+		r.traverse(now, c.dir, c.vc)
 		return
 	}
 	// bidCount tallies bidders per output, so each output's scan stops as
@@ -713,7 +641,7 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 		}
 		c := cands[winner]
 		cands[winner].dir = -1 // one crossbar grant per input port
-		r.traverse(now, c.dir, c.vc, sh)
+		r.traverse(now, c.dir, c.vc)
 	}
 }
 
@@ -760,48 +688,35 @@ func (r *Router) recordArbitration(now uint64, cands []saCand, winner int, outDi
 }
 
 // traverse is stage two: move the head flit of the granted input VC onto
-// the output link and return a credit upstream. With sh non-nil the moves
-// still happen immediately (the link queues are single-sender, so the
-// appends are private to this worker), but every shared-state side effect
-// — activity counters, the active-router bitmap, pending-list and NI
-// bitmap registration — is deferred into the shard for the ordered commit
-// phase.
-func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
+// the output link and return a credit upstream.
+func (r *Router) traverse(now uint64, inDir Dir, vcIdx int) {
 	i := int(inDir)*r.vcs + vcIdx
 	vc := &r.in[i]
-	f, arrived := vc.head(), vc.headEnq
+	pkt, seq, arrived := vc.pkt, vc.seq, vc.headEnq
 	vc.pop(r.ring(i))
 	r.flitCount--
 	r.portFlits[inDir]--
 	op := &r.out[vc.outDir]
 	op.credits[vc.outVC]--
-	at := now + uint64(r.cfg.LinkLatency)
-	if sh == nil {
-		if r.flitCount == 0 {
-			r.activeSet.clear(r.id)
-		}
-		*r.act--
-		*r.rf--
-		r.outLink[vc.outDir].sendFlit(f, int(vc.outVC), at)
-		r.inLink[inDir].sendCredit(vcIdx, f.isTail(), at)
-	} else {
-		if r.flitCount == 0 {
-			sh.cleared = append(sh.cleared, int32(r.id))
-		}
-		sh.actDelta--
-		sh.rfDelta--
-		r.outLink[vc.outDir].sendFlitPar(f, int(vc.outVC), at, sh)
-		r.inLink[inDir].sendCreditPar(vcIdx, f.isTail(), at, sh)
+	n := r.net
+	if r.flitCount == 0 {
+		n.routerActive.clear(r.id)
 	}
+	n.activity--
+	n.routerFlits--
+	at := now + uint64(r.cfg.LinkLatency)
+	tail := int(seq) == pkt.Size-1
+	n.sendFlit(r.id, vc.outDir, pkt, seq, vc.outVC, at)
+	n.sendCredit(r.id, inDir, vcIdx, tail, at)
 	r.Stats.SAGrants++
 	r.Stats.FlitsTraversed++
-	if f.isHead() {
-		f.pkt.Hops++
+	if seq == 0 {
+		pkt.Hops++
 		if r.obs != nil {
-			r.obs.Hop(now, r.id, f.pkt.ID, now-arrived, int(inDir), int(vc.outDir), int(vc.outVC))
+			r.obs.Hop(now, r.id, pkt.ID, now-arrived, int(inDir), int(vc.outDir), int(vc.outVC))
 		}
 	}
-	if f.isTail() {
+	if tail {
 		if vc.n != 0 {
 			panic(fmt.Sprintf("noc: router %d tail left dir %s vc %d with %d flits behind", r.id, inDir, vcIdx, vc.n))
 		}

@@ -16,41 +16,13 @@ type PayloadSaver func(w *checkpoint.Writer, kind PayloadKind, ref uint32) error
 // packet's PayloadRef.
 type PayloadLoader func(r *checkpoint.Reader, kind PayloadKind) (uint32, error)
 
-// linkTable enumerates every link of the mesh in a canonical order — each
-// router's input then output links in (node, direction) order, first
-// appearance wins — and returns the list plus the link -> index map. Both
-// snapshot and restore run the same enumeration on identically configured
-// networks, so a serialized link index names the same physical channel on
-// either side.
-func (n *Network) linkTable() ([]*link, map[*link]int32) {
-	var links []*link
-	idx := make(map[*link]int32)
-	add := func(l *link) {
-		if l == nil {
-			return
-		}
-		if _, ok := idx[l]; ok {
-			return
-		}
-		idx[l] = int32(len(links))
-		links = append(links, l)
-	}
-	for _, r := range n.Routers {
-		for d := Dir(0); d < NumDirs; d++ {
-			add(r.inLink[d])
-			add(r.outLink[d])
-		}
-	}
-	return links, idx
-}
-
 // collectPackets gathers every live packet reachable from the network's
-// dynamic state — loopback events, link flit events, router VC buffers and
-// NI queues/streams — in a canonical sweep order, assigning each distinct
-// packet a table index. Dup-marked flit events share their packet with the
-// original event enqueued alongside them, so every pointer seen here is
-// live.
-func (n *Network) collectPackets(links []*link) ([]*Packet, map[*Packet]int32) {
+// dynamic state — loopback events, wheel flit events, router VC buffers
+// and NI queues, streams and ejection queues — in a canonical sweep
+// order, assigning each distinct packet a table index. Dup-marked flit
+// events share their packet with the original event sent alongside them,
+// so every pointer seen here is live.
+func (n *Network) collectPackets() ([]*Packet, map[*Packet]int32) {
 	var pkts []*Packet
 	idx := make(map[*Packet]int32)
 	add := func(p *Packet) {
@@ -66,11 +38,7 @@ func (n *Network) collectPackets(links []*link) ([]*Packet, map[*Packet]int32) {
 	for _, ev := range n.loopback {
 		add(ev.pkt)
 	}
-	for _, l := range links {
-		for _, ev := range l.flits {
-			add(ev.f.pkt)
-		}
-	}
+	n.wheel.forEach(func(_ uint64, ev flitEvent) { add(ev.pkt) }, func(uint64, uint32) {})
 	for _, r := range n.Routers {
 		for i := range r.in {
 			if vc := &r.in[i]; vc.n > 0 {
@@ -85,20 +53,22 @@ func (n *Network) collectPackets(links []*link) ([]*Packet, map[*Packet]int32) {
 			}
 			add(ni.active[vn].pkt)
 		}
+		for _, ev := range ni.inFlits {
+			add(ev.pkt)
+		}
 	}
 	return pkts, idx
 }
 
 // SnapshotTo writes the network's complete dynamic state: statistics, the
 // live-packet table (payloads serialized through savePayload), loopback
-// and link event queues, the pending-link lists, every router's pipeline
+// events, the wheel's router-bound link events, every router's pipeline
 // and credit state (a router that never built its input VCs writes a
-// fresh router's VC records) and every NI's queues and streams. Derived
-// activity counters and bitmaps are recomputed on restore; their totals
-// are written anyway as an integrity cross-check.
+// fresh router's VC records) and every NI's queues, streams and NI-bound
+// link events. Derived activity counters and bitmaps are recomputed on
+// restore; their totals are written anyway as an integrity cross-check.
 func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) error {
-	links, linkIdx := n.linkTable()
-	pkts, pktIdx := n.collectPackets(links)
+	pkts, pktIdx := n.collectPackets()
 	for _, p := range pkts {
 		if p.Payload != nil {
 			return fmt.Errorf("noc: packet %d carries an untyped Payload; checkpointing requires slab-ref payloads", p.ID)
@@ -159,38 +129,24 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		w.U64(ev.at)
 	}
 
-	// Link event queues, in canonical link order and FIFO queue order (the
-	// queues are not sorted by `at` under fault-injected delays, so order
-	// is semantic).
-	w.Len(len(links))
-	for _, l := range links {
-		w.Len(len(l.flits))
-		for _, ev := range l.flits {
-			w.U32(uint32(pktIdx[ev.f.pkt]))
-			w.Int(ev.f.seq)
-			w.Int(ev.vc)
-			w.U64(ev.at)
-			w.Bool(ev.dup)
-			w.Bool(ev.drop)
-		}
-		w.Len(len(l.credits))
-		for _, ev := range l.credits {
-			w.Int(ev.vc)
-			w.Bool(ev.freeVC)
-			w.U64(ev.at)
-		}
-	}
-	// Pending-link registration order (drain order is semantically
-	// order-independent, but preserving it keeps restored runs
-	// byte-identical without relying on that argument).
-	w.Len(len(n.pendFlits))
-	for _, l := range n.pendFlits {
-		w.U32(uint32(linkIdx[l]))
-	}
-	w.Len(len(n.pendCredits))
-	for _, l := range n.pendCredits {
-		w.U32(uint32(linkIdx[l]))
-	}
+	// The wheel: its base cycle, then every flit and every credit event in
+	// due-cycle order, send order within a cycle.
+	w.U64(n.wheel.base)
+	w.Len(n.wheel.nflits)
+	n.wheel.forEach(func(due uint64, ev flitEvent) {
+		w.U64(due)
+		w.U32(uint32(pktIdx[ev.pkt]))
+		w.U32(uint32(ev.seq))
+		w.U32(uint32(ev.node))
+		w.U8(uint8(ev.port))
+		w.U8(ev.vc)
+		w.U8(uint8(ev.fate))
+	}, func(uint64, uint32) {})
+	w.Len(n.wheel.ncredits)
+	n.wheel.forEach(func(uint64, flitEvent) {}, func(due uint64, ev uint32) {
+		w.U64(due)
+		w.U32(ev)
+	})
 
 	// Routers: pipeline state per input VC (occupied ring windows only),
 	// output credit/allocation state, arbitration pointers, counters.
@@ -249,6 +205,21 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		}
 		w.U64(ni.FlitsSent)
 		w.Int(ni.QueuedPkts)
+		// NI-bound link events, in FIFO order.
+		w.Len(len(ni.inFlits))
+		for _, ev := range ni.inFlits {
+			w.U32(uint32(pktIdx[ev.pkt]))
+			w.U32(uint32(ev.seq))
+			w.U8(ev.vc)
+			w.U8(uint8(ev.fate))
+			w.U64(ev.at)
+		}
+		w.Len(len(ni.inCredits))
+		for _, ev := range ni.inCredits {
+			w.U8(ev.vc)
+			w.Bool(ev.freeVC)
+			w.U64(ev.at)
+		}
 	}
 	w.End()
 	return nil
@@ -257,13 +228,14 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 // RestoreFrom overwrites a freshly constructed network's dynamic state
 // with a snapshot written by SnapshotTo under the same configuration.
 // Packets are re-interned into the fresh packet slab (canonical
-// re-pooling); payload refs are resolved through loadPayload. Derived
+// re-pooling); payload refs are resolved through loadPayload. Every value
+// the run later indexes a table with or routes by is bounds-checked, so a
+// corrupt snapshot fails here rather than panicking mid-run. Derived
 // state — per-router flit counts and masks, the activity counters and the
 // hierarchical bitmaps — is recomputed from the restored ground truth and
 // verified against the snapshot's totals.
 func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) error {
-	links, _ := n.linkTable()
-
+	nodes := n.Cfg.Nodes()
 	r.Begin("noc")
 	for i := range n.Stats.InjectedPkts {
 		n.Stats.InjectedPkts[i] = r.U64()
@@ -305,6 +277,12 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		p.DeliveredAt = r.U64()
 		p.Hops = r.Int()
 		p.poolRef = ref
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if err := n.checkPacket(p); err != nil {
+			return err
+		}
 		if p.PayloadKind != PayloadNone {
 			if loadPayload == nil {
 				return fmt.Errorf("noc: packet %d has payload kind %d but no payload loader", p.ID, p.PayloadKind)
@@ -327,6 +305,17 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		}
 		return pkts[i]
 	}
+	// flit resolves a flit reference: packet index and sequence number.
+	flit := func(i, seq uint32) (*Packet, int32, error) {
+		p := pkt(i)
+		if p == nil {
+			return nil, 0, pktErr
+		}
+		if int(seq) >= p.Size {
+			return nil, 0, fmt.Errorf("noc: flit %d of packet %d, size %d", seq, p.ID, p.Size)
+		}
+		return p, int32(seq), nil
+	}
 
 	nl := r.Len()
 	n.loopback = n.loopback[:0]
@@ -336,68 +325,15 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		n.loopback = append(n.loopback, loopbackEvent{pkt: p, at: at})
 	}
 
-	nlinks := r.Len()
-	if r.Err() == nil && nlinks != len(links) {
-		return fmt.Errorf("noc: snapshot has %d links, mesh %d", nlinks, len(links))
-	}
-	for _, l := range links {
-		nf := r.Len()
-		l.flits = l.flits[:0]
-		for i := 0; i < nf && r.Err() == nil; i++ {
-			var ev flitEvent
-			ev.f.pkt = pkt(r.U32())
-			ev.f.seq = r.Int()
-			ev.vc = r.Index(n.Cfg.VCs)
-			ev.at = r.U64()
-			ev.dup = r.Bool()
-			ev.drop = r.Bool()
-			l.flits = append(l.flits, ev)
-		}
-		nc := r.Len()
-		l.credits = l.credits[:0]
-		for i := 0; i < nc && r.Err() == nil; i++ {
-			var ev creditEvent
-			ev.vc = r.Index(n.Cfg.VCs)
-			ev.freeVC = r.Bool()
-			ev.at = r.U64()
-			l.credits = append(l.credits, ev)
-		}
-		l.flitQueued = false
-		l.creditQueued = false
-	}
-	n.pendFlits = n.pendFlits[:0]
-	npf := r.Len()
-	for i := 0; i < npf && r.Err() == nil; i++ {
-		li := r.U32()
-		if int(li) >= len(links) {
-			return fmt.Errorf("noc: pending flit link index %d out of range", li)
-		}
-		l := links[li]
-		if r.Err() == nil && (l.flitQueued || len(l.flits) == 0 || l.flitRecv == nil) {
-			return fmt.Errorf("noc: pending flit link %d is listed twice, has no flits or feeds no router", li)
-		}
-		l.flitQueued = true
-		n.pendFlits = append(n.pendFlits, l)
-	}
-	n.pendCredits = n.pendCredits[:0]
-	npc := r.Len()
-	for i := 0; i < npc && r.Err() == nil; i++ {
-		li := r.U32()
-		if int(li) >= len(links) {
-			return fmt.Errorf("noc: pending credit link index %d out of range", li)
-		}
-		l := links[li]
-		if r.Err() == nil && (l.creditQueued || len(l.credits) == 0 || l.creditRecv == nil) {
-			return fmt.Errorf("noc: pending credit link %d is listed twice, has no credits or feeds no router", li)
-		}
-		l.creditQueued = true
-		n.pendCredits = append(n.pendCredits, l)
+	if err := n.restoreWheel(r, flit); err != nil {
+		return err
 	}
 
 	nr := r.Len()
 	if r.Err() == nil && nr != len(n.Routers) {
 		return fmt.Errorf("noc: snapshot has %d routers, mesh %d", nr, len(n.Routers))
 	}
+	depth := n.Cfg.VCDepth
 	for _, rt := range n.Routers {
 		rt.Stats.FlitsTraversed = r.U64()
 		rt.Stats.VAGrants = r.U64()
@@ -405,10 +341,10 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		rt.Stats.SAConflicts = r.U64()
 		for d := Dir(0); d < NumDirs; d++ {
 			op := &rt.out[d]
-			op.vaPtr = r.Int()
-			op.saPtr = r.Int()
+			op.vaPtr = r.Index(n.perRouter + 1)
+			op.saPtr = r.Index(n.perRouter + 1)
 			for v := range op.credits {
-				op.credits[v] = int32(r.Int())
+				op.credits[v] = int32(r.Index(depth + 1))
 			}
 			for v := range op.alloc {
 				op.alloc[v] = r.Bool()
@@ -427,31 +363,9 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		return fmt.Errorf("noc: snapshot has %d NIs, mesh %d", nn, len(n.NIs))
 	}
 	for _, ni := range n.NIs {
-		for v := range ni.outCredits {
-			ni.outCredits[v] = int32(r.Int())
+		if err := ni.restore(r, pkt, flit); err != nil {
+			return err
 		}
-		for v := range ni.outAlloc {
-			ni.outAlloc[v] = r.Bool()
-		}
-		for vn := 0; vn < NumVNets; vn++ {
-			nq := r.Len()
-			ni.queues[vn] = ni.queues[vn][:0]
-			for i := 0; i < nq && r.Err() == nil; i++ {
-				ni.queues[vn] = append(ni.queues[vn], pkt(r.U32()))
-			}
-			ni.active[vn] = activeStream{}
-			if r.Bool() {
-				ni.active[vn] = activeStream{pkt: pkt(r.U32()), next: r.Int(), vc: r.Index(len(ni.outCredits))}
-			}
-		}
-		for i := range ni.Injected {
-			ni.Injected[i] = r.U64()
-		}
-		for i := range ni.Delivered {
-			ni.Delivered[i] = r.U64()
-		}
-		ni.FlitsSent = r.U64()
-		ni.QueuedPkts = r.Int()
 	}
 	r.End()
 	if err := r.Err(); err != nil {
@@ -462,11 +376,10 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 	}
 
 	// Recompute derived state from the restored ground truth.
-	nodes := n.Cfg.Nodes()
 	n.routerActive = newActSet(nodes)
 	n.niActive = newActSet(nodes)
 	n.niInject = newActSet(nodes)
-	n.activity = 0
+	n.activity = n.wheel.nflits + n.wheel.ncredits + len(n.loopback)
 	n.niEvents = 0
 	n.routerFlits = 0
 	n.queuedPkts = 0
@@ -478,32 +391,167 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 			n.routerActive.set(i)
 		}
 	}
-	for _, l := range links {
-		n.activity += len(l.flits) + len(l.credits)
-		if l.flitRecv == nil && len(l.flits) > 0 {
-			n.niEvents += len(l.flits)
-			n.niActive.set(l.niIdx)
-		}
-		if l.creditRecv == nil && len(l.credits) > 0 {
-			n.niEvents += len(l.credits)
-			n.niActive.set(l.niIdx)
-		}
-	}
 	for i, ni := range n.NIs {
+		if k := len(ni.inFlits) + len(ni.inCredits); k > 0 {
+			n.niEvents += k
+			n.activity += k
+			n.niActive.set(i)
+		}
 		n.queuedPkts += ni.QueuedPkts
 		n.activity += ni.QueuedPkts
 		if ni.QueuedPkts > 0 {
 			n.niInject.set(i)
 		}
 	}
-	n.activity += len(n.loopback)
 	if n.activity != wantActivity || n.niEvents != wantNIEvents ||
 		n.routerFlits != wantRouterFlits || n.queuedPkts != wantQueuedPkts {
 		return fmt.Errorf("noc: restored activity (%d/%d/%d/%d) disagrees with snapshot (%d/%d/%d/%d)",
 			n.activity, n.niEvents, n.routerFlits, n.queuedPkts,
 			wantActivity, wantNIEvents, wantRouterFlits, wantQueuedPkts)
 	}
+	if n.faults != nil {
+		n.resetLastDue()
+	}
 	return nil
+}
+
+// checkPacket rejects a restored packet whose fields the run would route
+// or index by out of range: endpoints off the mesh, an unknown class or
+// virtual network, or a size outside [1, MaxPacketFlits].
+func (n *Network) checkPacket(p *Packet) error {
+	nodes := n.Cfg.Nodes()
+	switch {
+	case p.Src < 0 || p.Src >= nodes || p.Dst < 0 || p.Dst >= nodes:
+		return fmt.Errorf("noc: packet %d: endpoints %d->%d outside the %d-node mesh", p.ID, p.Src, p.Dst, nodes)
+	case p.Class >= NumClasses:
+		return fmt.Errorf("noc: packet %d: class %d", p.ID, p.Class)
+	case p.VNet < 0 || p.VNet >= NumVNets:
+		return fmt.Errorf("noc: packet %d: virtual network %d", p.ID, p.VNet)
+	case p.Size < 1 || p.Size > MaxPacketFlits:
+		return fmt.Errorf("noc: packet %d: size %d flits outside [1, %d]", p.ID, p.Size, MaxPacketFlits)
+	}
+	return nil
+}
+
+// restoreWheel reads the wheel SnapshotTo wrote into the fresh wheel,
+// rejecting an event that is due outside the wheel's span, names a
+// router port with no link, a VC, fate or flit that does not exist, or a
+// credit for an output VC no router has.
+func (n *Network) restoreWheel(r *checkpoint.Reader, flit func(i, seq uint32) (*Packet, int32, error)) error {
+	w := &n.wheel
+	w.base = r.U64()
+	inSpan := func(due uint64) error {
+		if due-w.base >= w.span() {
+			return fmt.Errorf("noc: wheel event due at cycle %d, outside [%d, %d)", due, w.base, w.base+w.span())
+		}
+		return nil
+	}
+	nf := r.Len()
+	for i := 0; i < nf && r.Err() == nil; i++ {
+		due := r.U64()
+		pi, seq := r.U32(), r.U32()
+		node, port, vc, f := r.U32(), Dir(r.U8()), r.U8(), fate(r.U8())
+		if r.Err() != nil {
+			break
+		}
+		if err := inSpan(due); err != nil {
+			return err
+		}
+		p, sq, err := flit(pi, seq)
+		if err != nil {
+			return err
+		}
+		if int(node) >= n.Cfg.Nodes() || port < 0 || port >= NumDirs || !n.Cfg.linked(int(node), port) ||
+			int(vc) >= n.Cfg.VCs || f >= numFates {
+			return fmt.Errorf("noc: wheel flit for router %d port %d vc %d with fate %d", node, port, vc, f)
+		}
+		w.pushFlit(due, flitEvent{pkt: p, seq: sq, node: int32(node), port: port, vc: vc, fate: f})
+	}
+	nc := r.Len()
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		due, ev := r.U64(), r.U32()
+		if r.Err() != nil {
+			break
+		}
+		if err := inSpan(due); err != nil {
+			return err
+		}
+		idx := int(ev >> 1)
+		if idx >= len(n.credits) || !n.Cfg.linked(idx/n.perRouter, Dir(idx%n.perRouter/n.Cfg.VCs)) {
+			return fmt.Errorf("noc: wheel credit for router VC %d of %d, or of a port with no link", idx, len(n.credits))
+		}
+		w.pushCredit(due, ev)
+	}
+	return r.Err()
+}
+
+// restore reads the NI record SnapshotTo wrote, rejecting a stream or an
+// NI-bound event that names a VC or flit that does not exist, and a
+// queued-packet count that disagrees with the queues and streams.
+func (ni *NI) restore(r *checkpoint.Reader, pkt func(uint32) *Packet, flit func(i, seq uint32) (*Packet, int32, error)) error {
+	depth, vcs := ni.cfg.VCDepth, ni.cfg.VCs
+	for v := range ni.outCredits {
+		ni.outCredits[v] = int32(r.Index(depth + 1))
+	}
+	for v := range ni.outAlloc {
+		ni.outAlloc[v] = r.Bool()
+	}
+	queued := 0
+	for vn := 0; vn < NumVNets; vn++ {
+		nq := r.Len()
+		ni.queues[vn] = ni.queues[vn][:0]
+		for i := 0; i < nq && r.Err() == nil; i++ {
+			ni.queues[vn] = append(ni.queues[vn], pkt(r.U32()))
+		}
+		queued += nq
+		ni.active[vn] = activeStream{}
+		if r.Bool() {
+			p, next, err := flit(r.U32(), uint32(r.Int()))
+			if err != nil && r.Err() == nil {
+				return err
+			}
+			ni.active[vn] = activeStream{pkt: p, next: int(next), vc: r.Index(vcs)}
+			queued++
+		}
+	}
+	for i := range ni.Injected {
+		ni.Injected[i] = r.U64()
+	}
+	for i := range ni.Delivered {
+		ni.Delivered[i] = r.U64()
+	}
+	ni.FlitsSent = r.U64()
+	ni.QueuedPkts = r.Int()
+	if r.Err() == nil && ni.QueuedPkts != queued {
+		return fmt.Errorf("noc: NI %d counts %d queued packets, holds %d", ni.node, ni.QueuedPkts, queued)
+	}
+	nf := r.Len()
+	ni.inFlits = ni.inFlits[:0]
+	for i := 0; i < nf && r.Err() == nil; i++ {
+		pi, seq := r.U32(), r.U32()
+		vc, f, at := r.U8(), fate(r.U8()), r.U64()
+		if r.Err() != nil {
+			break
+		}
+		p, sq, err := flit(pi, seq)
+		if err != nil {
+			return err
+		}
+		if int(vc) >= vcs || f >= numFates {
+			return fmt.Errorf("noc: NI %d ejection flit on vc %d with fate %d", ni.node, vc, f)
+		}
+		ni.inFlits = append(ni.inFlits, niFlit{pkt: p, seq: sq, vc: vc, fate: f, at: at})
+	}
+	nc := r.Len()
+	ni.inCredits = ni.inCredits[:0]
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		vc, free, at := r.U8(), r.Bool(), r.U64()
+		if r.Err() == nil && int(vc) >= vcs {
+			return fmt.Errorf("noc: NI %d credit on vc %d", ni.node, vc)
+		}
+		ni.inCredits = append(ni.inCredits, niCredit{at: at, vc: vc, freeVC: free})
+	}
+	return r.Err()
 }
 
 // snapshotVCs writes the router's input VC records: each VC's pipeline
@@ -541,6 +589,10 @@ func (r *Router) restoreVCs(cr *checkpoint.Reader, pkt func(uint32) *Packet) err
 		cnt := cr.Int()
 		if cr.Err() != nil {
 			return cr.Err()
+		}
+		if vc.state > vcActive || vc.outDir < 0 || vc.outDir >= NumDirs || int(vc.outVC) >= r.vcs ||
+			vc.state != vcIdle && !r.cfg.linked(r.id, vc.outDir) {
+			return fmt.Errorf("noc: router %d vc %d in state %d toward port %d vc %d", r.id, i, vc.state, vc.outDir, vc.outVC)
 		}
 		if cnt < 0 || cnt > r.depth {
 			return fmt.Errorf("noc: router %d vc %d holds %d flits, depth %d", r.id, i, cnt, r.depth)

@@ -101,8 +101,7 @@ func TestRestoreBuildsOnlyUsedRouters(t *testing.T) {
 	// Forge the second buffered flit of the full VC. The router's VC
 	// records hold 11 bytes of state and count per VC, then 20 per flit:
 	// packet index (4), sequence number (8), arrival cycle (8).
-	links, _ := orig.linkTable()
-	pkts, pktIdx := orig.collectPackets(links)
+	pkts, pktIdx := orig.collectPackets()
 	w := checkpoint.NewWriter()
 	rt.snapshotVCs(w, pktIdx)
 	rec := w.Snapshot().Data
@@ -153,27 +152,26 @@ func TestRestoreBuildsOnlyUsedRouters(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForgedLinks forges the link state a snapshot carries —
-// an event's VC, the pending-link lists — through the encoder and checks
-// that restore reports each forgery, where a run from the restored state
-// would index out of range or read a missing event.
+// TestRestoreRejectsForgedLinks forges the link events a snapshot carries
+// — wheel flits and credits, NI-bound flits and credits — and checks that
+// restore reports each forgery, where a run from the restored state would
+// index out of range, route off the mesh or read a missing flit.
 func TestRestoreRejectsForgedLinks(t *testing.T) {
 	cfg := testConfig(4, 4, false)
-	// A packet across the mesh until some router-bound link holds a flit
-	// event while another link holds a credit event.
-	busy := func() (*Network, []*link) {
+	// A packet across the mesh until the wheel holds a flit and a credit
+	// while the destination NI's ejection queue holds a flit.
+	busy := func() *Network {
 		n := MustNetwork(cfg)
 		n.SetSink(15, func(uint64, *Packet) {})
 		n.Send(0, n.NewPacket(0, 15, ClassData, VNetResponse, nil))
-		links, _ := n.linkTable()
 		for now := uint64(1); now < 200; now++ {
 			n.Tick(now)
-			if len(n.pendFlits) > 0 && len(n.pendCredits) > 0 {
-				return n, links
+			if n.wheel.nflits > 0 && n.wheel.ncredits > 0 && len(n.NIs[15].inFlits) > 0 {
+				return n
 			}
 		}
-		t.Fatal("no cycle held both a pending flit and a pending credit")
-		return nil, nil
+		t.Fatal("no cycle held a wheel flit, a wheel credit and an ejection flit")
+		return nil
 	}
 	restore := func(n *Network) error {
 		w := checkpoint.NewWriter()
@@ -182,30 +180,109 @@ func TestRestoreRejectsForgedLinks(t *testing.T) {
 		}
 		return MustNetwork(cfg).RestoreFrom(checkpoint.NewReader(w.Snapshot()), nil)
 	}
-	idle := func(links []*link) *link {
-		for _, l := range links {
-			if l.flitRecv != nil && len(l.flits) == 0 {
-				return l
+	firstFlit := func(n *Network) *flitEvent {
+		for i := range n.wheel.flits {
+			if len(n.wheel.flits[i]) > 0 {
+				return &n.wheel.flits[i][0]
 			}
 		}
-		t.Fatal("every router-bound link holds flits")
+		t.Fatal("the wheel holds no flit")
+		return nil
+	}
+	firstCredit := func(n *Network) *uint32 {
+		for i := range n.wheel.credits {
+			if len(n.wheel.credits[i]) > 0 {
+				return &n.wheel.credits[i][0]
+			}
+		}
+		t.Fatal("the wheel holds no credit")
 		return nil
 	}
 
-	honest, _ := busy()
-	if err := restore(honest); err != nil {
+	if err := restore(busy()); err != nil {
 		t.Fatalf("restore rejected an honest snapshot: %v", err)
 	}
-	for name, forge := range map[string]func(n *Network, links []*link){
-		"flit on VC VCs":     func(n *Network, _ []*link) { n.pendFlits[0].flits[0].vc = cfg.VCs },
-		"credit on VC -1":    func(n *Network, _ []*link) { n.pendCredits[0].credits[0].vc = -1 },
-		"empty pending link": func(n *Network, links []*link) { n.pendFlits = append(n.pendFlits, idle(links)) },
-		"pending link twice": func(n *Network, _ []*link) { n.pendFlits = append(n.pendFlits, n.pendFlits[0]) },
+	for name, forge := range map[string]func(n *Network){
+		"flit on VC VCs":          func(n *Network) { firstFlit(n).vc = uint8(cfg.VCs) },
+		"flit past its packet":    func(n *Network) { ev := firstFlit(n); ev.seq = int32(ev.pkt.Size) },
+		"flit with unknown fate":  func(n *Network) { firstFlit(n).fate = numFates },
+		"flit off the mesh":       func(n *Network) { firstFlit(n).node = int32(cfg.Nodes()) },
+		"flit into a port edge":   func(n *Network) { ev := firstFlit(n); ev.node, ev.port = 0, North },
+		"credit for no router VC": func(n *Network) { *firstCredit(n) = uint32(len(n.credits)) << 1 },
+		"credit into a port edge": func(n *Network) { *firstCredit(n) = uint32(n.creditIndex(0, West, 0)) << 1 },
+		"ejection flit on VC VCs": func(n *Network) { n.NIs[15].inFlits[0].vc = uint8(cfg.VCs) },
+		"ejection flit past its packet": func(n *Network) {
+			ev := &n.NIs[15].inFlits[0]
+			ev.seq = int32(ev.pkt.Size)
+		},
 	} {
-		n, links := busy()
-		forge(n, links)
+		n := busy()
+		forge(n)
 		if err := restore(n); err == nil {
 			t.Errorf("%s: restore accepted the forged snapshot", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+
+	// A wheel event due outside the wheel's span cannot come out of the
+	// encoder, so forge the record itself.
+	n := MustNetwork(cfg)
+	p := n.NewPacket(0, 15, ClassCtrl, VNetRequest, nil)
+	flit := func(uint32, uint32) (*Packet, int32, error) { return p, 0, nil }
+	for name, due := range map[string]uint64{"before the base": 99, "past the span": 100 + n.wheel.span()} {
+		w := checkpoint.NewWriter()
+		w.U64(100) // base
+		w.Len(1)
+		w.U64(due)
+		w.U32(0)
+		w.U32(0)
+		w.U32(1)
+		w.U8(uint8(West))
+		w.U8(0)
+		w.U8(uint8(fateNormal))
+		w.Len(0)
+		if err := MustNetwork(cfg).restoreWheel(checkpoint.NewReader(w.Snapshot()), flit); err == nil {
+			t.Errorf("flit due %s: restore accepted it", name)
+		} else {
+			t.Logf("flit due %s: %v", name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsForgedPackets forges the fields of a live packet that
+// the run routes or indexes by — its endpoints, class, virtual network
+// and size — and checks that restore reports each one instead of
+// restoring a packet that would route off the mesh or index a statistics
+// table out of range.
+func TestRestoreRejectsForgedPackets(t *testing.T) {
+	cfg := testConfig(4, 4, false)
+	for name, forge := range map[string]func(p *Packet){
+		"destination off the mesh": func(p *Packet) { p.Dst = cfg.Nodes() },
+		"negative destination":     func(p *Packet) { p.Dst = -1 },
+		"source off the mesh":      func(p *Packet) { p.Src = cfg.Nodes() + 3 },
+		"class 255":                func(p *Packet) { p.Class = 255 },
+		"virtual network 3":        func(p *Packet) { p.VNet = NumVNets },
+		"size 0":                   func(p *Packet) { p.Size = 0 },
+		"size past the bound":      func(p *Packet) { p.Size = MaxPacketFlits + 1 },
+	} {
+		n := MustNetwork(cfg)
+		n.SetSink(15, func(uint64, *Packet) {})
+		p := n.NewPacket(0, 15, ClassCtrl, VNetRequest, nil)
+		n.Send(0, p)
+		for now := uint64(1); now < 4; now++ {
+			n.Tick(now)
+		}
+		if !n.Busy() {
+			t.Fatal("the packet left the network before the snapshot")
+		}
+		forge(p)
+		w := checkpoint.NewWriter()
+		if err := n.SnapshotTo(w, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := MustNetwork(cfg).RestoreFrom(checkpoint.NewReader(w.Snapshot()), nil); err == nil {
+			t.Errorf("%s: restore accepted the forged packet", name)
 		} else {
 			t.Logf("%s: %v", name, err)
 		}

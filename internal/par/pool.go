@@ -8,12 +8,11 @@ package par
 // per-dispatch cost is one channel handoff out and one back per helper
 // (see BenchmarkPoolRun), not a goroutine spawn + exit.
 //
-// Pool complements Map: Map bounds coarse-grained, independent jobs (whole
-// simulations) and is called a handful of times per process, so it spawns
-// its workers per invocation; Pool serves fine-grained repeated dispatch —
-// the sharded NoC tick executor calls Run once per fused cycle, up to
-// millions of times per run — where spawn-per-call overhead would swamp
-// the work being parallelized.
+// Nothing in the simulator dispatches on a Pool since the NoC's fused
+// parallel tick was deleted: the type stays only because the benchmark
+// module's component wrapper still names it, and it goes when that
+// wrapper stops forwarding tick pools (ROADMAP item 8). Map, which runs
+// whole simulations side by side, is the package's parallelism.
 //
 // Run is not reentrant and a Pool must only be driven from one goroutine
 // at a time; the workers synchronize exclusively with the dispatching
@@ -69,7 +68,7 @@ func (p *Pool) call(id int) (panicked any) {
 }
 
 // Run invokes fn(w) once per worker and waits for all invocations. A panic
-// in any invocation — simulation invariants fire inside shard workers — is
+// in any invocation is
 // re-raised on the calling goroutine after every worker has finished, so a
 // failed dispatch never leaves a worker running; when several workers
 // panic the lowest worker id wins, keeping the surfaced failure

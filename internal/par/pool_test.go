@@ -106,8 +106,7 @@ func TestPoolRunAfterCloseP(t *testing.T) {
 
 // BenchmarkPoolRun measures the fork-join dispatch overhead of a persistent
 // pool: the cost of handing an (empty) task set to every worker and waiting
-// for the barrier. This is the price the sharded NoC tick executor pays
-// once per fused cycle, so it must stay in the microsecond range.
+// for the barrier.
 func BenchmarkPoolRun(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(sizeName(workers), func(b *testing.B) {

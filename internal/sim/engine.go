@@ -34,15 +34,10 @@ type Waker interface {
 	Wake(at uint64)
 }
 
-// TickPoolUser is implemented by components that can exploit a worker
-// pool for parallelism *within* one Tick call (e.g. the NoC's sharded
-// tick executor). The engine itself stays strictly sequential — one
-// component ticks at a time, in registration order — the pool only lets a
-// single component fan its own cycle work out and join before returning.
-// The engine calls SetTickPool when a pool is attached via
-// Engine.SetTickPool (and on Register while one is attached); SetTickPool
-// with nil detaches, and implementations must then fall back to their
-// sequential path.
+// TickPoolUser was implemented by components that fanned one Tick out
+// over a worker pool. Nothing implements it and the engine never calls
+// it: it stays only because the benchmark module's component wrapper
+// still forwards it, and it goes when that wrapper stops (ROADMAP item 8).
 type TickPoolUser interface {
 	SetTickPool(p *par.Pool)
 }
@@ -102,11 +97,6 @@ type Engine struct {
 
 	// obs, when non-nil, receives engine wake-jump and step events.
 	obs *obs.Recorder
-
-	// tickPool, when non-nil, is handed to every TickPoolUser component
-	// for intra-tick parallelism. The engine does not own it: the caller
-	// that attached it closes it after detaching (SetTickPool(nil)).
-	tickPool *par.Pool
 }
 
 // NewEngine returns an empty engine.
@@ -139,25 +129,7 @@ func (e *Engine) Register(c Component) {
 		e.legacy = append(e.legacy, true)
 		e.anyLegacy = true
 	}
-	if e.tickPool != nil {
-		if u, ok := c.(TickPoolUser); ok {
-			u.SetTickPool(e.tickPool)
-		}
-	}
 	e.heapPush(idx, c.NextWake(e.now))
-}
-
-// SetTickPool attaches a worker pool for intra-tick parallelism (nil
-// detaches), forwarding it to every registered — and every subsequently
-// registered — TickPoolUser component. The engine never closes the pool;
-// the attaching caller detaches and closes it when the run ends.
-func (e *Engine) SetTickPool(p *par.Pool) {
-	e.tickPool = p
-	for _, c := range e.components {
-		if u, ok := c.(TickPoolUser); ok {
-			u.SetTickPool(p)
-		}
-	}
 }
 
 // wakeIdx moves component i's wake time earlier, to at (clamped so that a

@@ -90,8 +90,8 @@ func TestWakeDuringTickSameCycle(t *testing.T) {
 	}
 }
 
-// polled hides a component's optional engine interfaces (WakeSetter,
-// TickPoolUser), leaving a legacy poll component.
+// polled hides a component's optional engine interface (WakeSetter),
+// leaving a legacy poll component.
 type polled struct{ Component }
 
 // TestPolledWrapperForcesPolling pins the engine's legacy-component path

@@ -30,7 +30,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -73,13 +72,11 @@ type Config struct {
 	// read-only, so results are bit-identical with or without it (a
 	// regression test asserts this).
 	Obs *obs.Recorder
-	// Workers is the intra-simulation parallelism width: values > 1 run
-	// the NoC's tick phases on a persistent worker pool of that size
-	// (sharded compute, ordered commit). Results are byte-identical for
-	// every worker count — the executor only changes wall-clock time.
-	// 0 and 1 both mean fully sequential. The commands leave it at 0 and
-	// run whole simulations side by side instead (-j): no platform cycle
-	// holds enough work for the sharded tick to pay.
+	// Workers has no effect: it set the width of the NoC's fused
+	// parallel tick, which was deleted because no platform cycle held
+	// enough work for it to pay (the commands run whole simulations side
+	// by side instead, -j). Validate still bounds it as before, and it
+	// goes with the benchmark's last use of it (ROADMAP item 8).
 	Workers int
 
 	// NoC, Mem and Kernel override subsystem defaults when non-nil.
@@ -169,7 +166,7 @@ func (c *Config) Validate() error {
 		}
 		if c.Workers > w*h {
 			return &ConfigError{Field: "Workers",
-				Reason: fmt.Sprintf("%d tick workers exceed the %dx%d mesh's %d nodes (shards would be empty)", c.Workers, w, h, w*h)}
+				Reason: fmt.Sprintf("%d workers exceed the %dx%d mesh's %d nodes", c.Workers, w, h, w*h)}
 		}
 		// Threads 0 means one thread per node; explicit programs run one
 		// thread each.
@@ -398,19 +395,8 @@ func New(cfg Config) (*System, error) {
 }
 
 // Run executes the workload to completion and returns the consolidated
-// results. With Cfg.Workers > 1 it owns a worker pool for the duration of
-// the run: attached before the first cycle, detached and closed before
-// returning so no goroutines outlive the run (outer experiment harnesses
-// start many Systems concurrently).
+// results.
 func (s *System) Run() (metrics.Results, error) {
-	if s.Cfg.Workers > 1 {
-		pool := par.NewPool(s.Cfg.Workers)
-		s.Engine.SetTickPool(pool)
-		defer func() {
-			s.Engine.SetTickPool(nil)
-			pool.Close()
-		}()
-	}
 	s.start()
 	s.Engine.RunUntil(s.CPU.AllDone)
 	if err := s.watchdogErr(); err != nil {
@@ -466,17 +452,8 @@ func (s *System) start() {
 // every thread finishes, whichever comes first, and returns the cycle it
 // stopped at. The workload is started on first use, so alternating RunTo
 // and Snapshot carves one run into checkpointed segments; Run picks up
-// seamlessly afterwards for the remainder. Like Run, a Workers > 1
-// configuration owns a tick worker pool only for the duration of the call.
+// seamlessly afterwards for the remainder.
 func (s *System) RunTo(target uint64) (uint64, error) {
-	if s.Cfg.Workers > 1 {
-		pool := par.NewPool(s.Cfg.Workers)
-		s.Engine.SetTickPool(pool)
-		defer func() {
-			s.Engine.SetTickPool(nil)
-			pool.Close()
-		}()
-	}
 	s.start()
 	s.Engine.RunUntil(func() bool {
 		return s.CPU.AllDone() || s.Engine.Now() >= target

@@ -26,8 +26,8 @@ func (nopWaker) Wake(uint64) {}
 
 // busyTickedNet answers NextWake with now+1 whenever the network is busy,
 // so the engine ticks it every busy cycle instead of jumping to
-// NextEventCycle. Tick, SetWaker and SetTickPool are promoted, so it
-// registers and takes a tick pool exactly like the bare network.
+// NextEventCycle. Tick and SetWaker are promoted, so it registers exactly
+// like the bare network.
 type busyTickedNet struct{ *noc.Network }
 
 // NextWake implements sim.Component.
@@ -64,7 +64,7 @@ func swapEngine(t testing.TB, sys *System, wrap func(sim.Component) sim.Componen
 }
 
 // pollEngine swaps in the polling oracle: every component polled, its
-// wake notifications and tick pool hidden from the engine.
+// wake notifications hidden from the engine.
 func pollEngine(t testing.TB, sys *System) {
 	t.Helper()
 	swapEngine(t, sys, func(c sim.Component) sim.Component {

@@ -8,25 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/kernel/protocol"
-	"repro/internal/noc"
 )
 
 // protoRunBytes runs the determinism profile under one protocol cell and
 // returns the JSON serialisation of the consolidated results, so any
 // drift — a counter, a latency accumulator, a single cycle — compares
 // byte-for-byte.
-func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []byte {
+func protoRunBytes(t *testing.T, proto string, ocor, poll bool) []byte {
 	t.Helper()
 	cfg := Config{
 		Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-		Seed: 7, Protocol: proto, Workers: workers,
-	}
-	if workers > 1 {
-		// Force the sharded tick path: the 4x4 mesh is under the executor's
-		// default work threshold.
-		ncfg := noc.DefaultConfig()
-		ncfg.ParThreshold = -1
-		cfg.NoC = &ncfg
+		Seed: 7, Protocol: proto,
 	}
 	r, err := newSystem(t, cfg, poll).Run()
 	if err != nil {
@@ -40,29 +32,27 @@ func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []b
 }
 
 // TestProtocolDeterminismMatrix is the arena's regression matrix: every
-// registered protocol, under both engines and both worker widths, must
-// produce identical output bytes across repeated runs and across every
-// cell of the {engine, workers} grid — a lock algorithm is only
-// admissible if its schedule is a pure function of the configuration.
+// registered protocol, under both engines, must produce identical output
+// bytes across repeated runs and across the two engines — a lock
+// algorithm is only admissible if its schedule is a pure function of the
+// configuration.
 func TestProtocolDeterminismMatrix(t *testing.T) {
 	for _, proto := range protocol.Known() {
 		for _, ocor := range []bool{false, true} {
 			var ref []byte
 			for _, poll := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					got := protoRunBytes(t, proto, ocor, poll, workers)
-					again := protoRunBytes(t, proto, ocor, poll, workers)
-					if !bytes.Equal(got, again) {
-						t.Fatalf("%s ocor=%v poll=%v workers=%d: repeated run diverged", proto, ocor, poll, workers)
-					}
-					if ref == nil {
-						ref = got
-						continue
-					}
-					if !bytes.Equal(ref, got) {
-						t.Fatalf("%s ocor=%v poll=%v workers=%d: diverged from first cell:\nref: %s\ngot: %s",
-							proto, ocor, poll, workers, ref, got)
-					}
+				got := protoRunBytes(t, proto, ocor, poll)
+				again := protoRunBytes(t, proto, ocor, poll)
+				if !bytes.Equal(got, again) {
+					t.Fatalf("%s ocor=%v poll=%v: repeated run diverged", proto, ocor, poll)
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				if !bytes.Equal(ref, got) {
+					t.Fatalf("%s ocor=%v poll=%v: diverged from the event engine:\nref: %s\ngot: %s",
+						proto, ocor, poll, ref, got)
 				}
 			}
 		}
@@ -90,7 +80,7 @@ func TestDefaultProtocolMatchesSeedSignature(t *testing.T) {
 			if ocor {
 				want = defaultSigOCOR
 			}
-			sum := sha256.Sum256(protoRunBytes(t, proto, ocor, false, 1))
+			sum := sha256.Sum256(protoRunBytes(t, proto, ocor, false))
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Fatalf("protocol %q ocor=%v: signature %s, want %s (default protocol must stay byte-identical to the seed queue spinlock)",
 					proto, ocor, got, want)
