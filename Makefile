@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test bench-module race check bench bench-json bench-smoke fmt-check fuzz-smoke fleet-smoke
+.PHONY: build vet test bench-module race check bench bench-json bench-smoke fmt-check fuzz-smoke fleet-smoke lines
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# lines prints the non-test and the test Go lines outside bench/ (its own
+# module), the two counts CHANGES.md records for every change.
+GOFILES = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
+lines:
+	@echo "non-test $$($(GOFILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test $$($(GOFILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 # bench-module vets and tests the benchmark, which is its own module
 # (bench/go.mod): the root go test ./... never compiles it, yet it drives

@@ -236,9 +236,9 @@ func (s *System) savePayload(w *checkpoint.Writer, kind noc.PayloadKind, ref uin
 func (s *System) loadPayload(r *checkpoint.Reader, kind noc.PayloadKind) (uint32, error) {
 	switch kind {
 	case noc.PayloadKernel:
-		return s.Kernel.LoadMsg(r), nil
+		return s.Kernel.LoadMsg(r)
 	case noc.PayloadMem:
-		return s.Mem.LoadMsg(r), nil
+		return s.Mem.LoadMsg(r)
 	}
 	return 0, fmt.Errorf("repro: unknown payload kind %d", kind)
 }

@@ -332,9 +332,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		want string
 	}{
 		{"det-16t-4x4", Config{Benchmark: detProfile(), Threads: 16, OCOR: true, Seed: 7}, 7500,
-			"ce650b6459b2988e229a4913958f2f65778fd5f6337b5807d97beb45b5ae9479"},
+			"20fd87fcd491099494a6bc558fadc13d3df559db9efc196eba0a04f609d33e4a"},
 		{"det-4t-8x8", Config{Benchmark: detProfile(), Threads: 4, MeshWidth: 8, MeshHeight: 8, OCOR: true, Seed: 7}, 2500,
-			"bfd5d3e6dcdc6a7340379e46111c5d041dc68a616eebda1faff0e3951a27a2d4"},
+			"8ac4280e5437e9e33fc2fb0f76c54e0efde0beda4e5be659b576212a8cbde6a1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

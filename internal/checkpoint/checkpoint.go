@@ -29,8 +29,10 @@ import (
 // Version 3 writes the NoC's router-bound link events as its event wheel
 // (base cycle, then flits and credits in due order) in place of per-link
 // queues and pending-link lists, and each NI's inbound link events in its
-// own record.
-const Version uint32 = 3
+// own record. Version 4 moves those NI-bound events onto the wheel: its
+// ejections follow as a third list, NI credits join its credits, and NI
+// records carry no link events.
+const Version uint32 = 4
 
 // ErrVersion marks a snapshot of another format version; it is reported
 // before any payload is decoded.

@@ -402,3 +402,59 @@ func TestRestoreBuildsOnlyUsedClients(t *testing.T) {
 		t.Fatal("restored kernel re-encodes to different bytes")
 	}
 }
+
+// TestRestoreRejectsForgedThreads forges the thread ids a lock record and
+// a protocol message hold and checks that restore reports each one, where
+// the run would send to a node off the mesh. A lock's holder and
+// reservation may be -1, none.
+func TestRestoreRejectsForgedThreads(t *testing.T) {
+	const lock = 4
+	restore := func(forge func(lv *lockVar)) error {
+		h := newHarness(t, 4, 4, false)
+		acquired := false
+		h.ks.Lock(0, 0, lock, func(uint64) { acquired = true })
+		h.run(t, 10000, func() bool { return acquired })
+		h.ks.Lock(h.e.Now(), 1, lock, nil) // fails and polls
+		lv := h.ks.Controllers[LockHome(lock, 16)].locks[lock]
+		h.run(t, 10000, func() bool { return len(lv.polling) > 0 })
+		forge(lv)
+		w := checkpoint.NewWriter()
+		if err := h.ks.SnapshotTo(w); err != nil {
+			t.Fatal(err)
+		}
+		return newHarness(t, 4, 4, false).ks.RestoreFrom(checkpoint.NewReader(w.Snapshot()))
+	}
+	if err := restore(func(*lockVar) {}); err != nil {
+		t.Fatalf("restore rejected an honest snapshot: %v", err)
+	}
+	for name, forge := range map[string]func(lv *lockVar){
+		"holder off the mesh":        func(lv *lockVar) { lv.holder = 16 },
+		"negative holder":            func(lv *lockVar) { lv.holder = -2 },
+		"reservation off the mesh":   func(lv *lockVar) { lv.reserved = 16 },
+		"poller off the mesh":        func(lv *lockVar) { lv.polling = append(lv.polling, 16) },
+		"sleeper off the mesh":       func(lv *lockVar) { lv.asleep = append(lv.asleep, -1) },
+		"queued thread off the mesh": func(lv *lockVar) { lv.q.Enqueue(16) },
+	} {
+		if err := restore(forge); err == nil {
+			t.Errorf("%s: restore accepted the forged lock record", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+
+	ks := newHarness(t, 4, 4, false).ks
+	for name, m := range map[string]Msg{
+		"sender off the mesh": {Type: MsgTryLock, Lock: lock, From: 16, Thread: 2},
+		"negative thread":     {Type: MsgGrant, Lock: lock, From: 2, Thread: -1},
+	} {
+		ref, msg := ks.msgs.Alloc()
+		*msg = m
+		w := checkpoint.NewWriter()
+		ks.SaveMsg(w, ref)
+		if _, err := ks.LoadMsg(checkpoint.NewReader(w.Snapshot())); err == nil {
+			t.Errorf("%s: LoadMsg accepted the message", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}

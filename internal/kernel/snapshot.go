@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -88,8 +89,10 @@ func (s *System) SaveMsg(w *checkpoint.Writer, ref uint32) {
 }
 
 // LoadMsg re-interns one serialized message into the message slab and
-// returns its new ref (stamped into the carrying packet's PayloadRef).
-func (s *System) LoadMsg(r *checkpoint.Reader) uint32 {
+// returns its new ref (stamped into the carrying packet's PayloadRef). It
+// rejects a message whose sender or thread is not a node: its receiver
+// would answer it through the NoC.
+func (s *System) LoadMsg(r *checkpoint.Reader) (uint32, error) {
 	ref, m := s.msgs.Alloc()
 	m.Type = MsgType(r.U8())
 	m.To = Target(r.U8())
@@ -102,7 +105,21 @@ func (s *System) LoadMsg(r *checkpoint.Reader) uint32 {
 	m.PktID = r.U64()
 	m.ReqPktID = r.U64()
 	m.ref = ref
-	return ref
+	if err := checkThreads(len(s.clients), false, m.From, m.Thread); err != nil && r.Err() == nil {
+		return 0, fmt.Errorf("kernel: %s message: %w", m.Type, err)
+	}
+	return ref, r.Err()
+}
+
+// checkThreads returns an error unless every id is a thread of an n-node
+// mesh (thread i runs on node i), or -1 where none allows one.
+func checkThreads(n int, none bool, ids ...int) error {
+	for _, id := range ids {
+		if (id < 0 || id >= n) && !(none && id == -1) {
+			return fmt.Errorf("thread %d outside the %d nodes", id, n)
+		}
+	}
+	return nil
 }
 
 // SnapshotTo writes the kernel's complete dynamic state: the timer queue
@@ -175,7 +192,9 @@ func (s *System) RestoreFrom(r *checkpoint.Reader) error {
 		return fmt.Errorf("kernel: snapshot has %d controllers, system %d", nctl, len(s.Controllers))
 	}
 	for _, c := range s.Controllers {
-		c.restoreFrom(r)
+		if err := c.restoreFrom(r, len(s.clients)); err != nil {
+			return err
+		}
 	}
 	r.End()
 	if err := r.Err(); err != nil {
@@ -342,8 +361,9 @@ func (c *Controller) snapshotTo(w *checkpoint.Writer) {
 	}
 }
 
-// restoreFrom overwrites one controller's dynamic state.
-func (c *Controller) restoreFrom(r *checkpoint.Reader) {
+// restoreFrom overwrites one controller's dynamic state, rejecting a lock
+// record that names a thread off the n-node mesh.
+func (c *Controller) restoreFrom(r *checkpoint.Reader, n int) error {
 	st := &c.Stats
 	for _, p := range []*uint64{
 		&st.TryLocks, &st.Grants, &st.Fails, &st.Notifies, &st.FutexWaits,
@@ -352,8 +372,8 @@ func (c *Controller) restoreFrom(r *checkpoint.Reader) {
 		*p = r.U64()
 	}
 	c.locks = make(map[int]*lockVar)
-	n := r.Len()
-	for i := 0; i < n; i++ {
+	nl := r.Len()
+	for i := 0; i < nl && r.Err() == nil; i++ {
 		id := r.Int()
 		lv := c.lock(id)
 		lv.held = r.Bool()
@@ -373,5 +393,13 @@ func (c *Controller) restoreFrom(r *checkpoint.Reader) {
 			*p = r.U64()
 		}
 		lv.maxDepth = r.Int()
+		err := checkThreads(n, true, lv.holder, lv.reserved)
+		for _, ids := range [][]int{lv.polling, lv.asleep, order} {
+			err = cmp.Or(err, checkThreads(n, false, ids...))
+		}
+		if err != nil && r.Err() == nil {
+			return fmt.Errorf("kernel: node %d lock %d: %w", c.node, id, err)
+		}
 	}
+	return r.Err()
 }

@@ -683,3 +683,72 @@ func TestRestoreRejectsForgedMSHRWay(t *testing.T) {
 		t.Log(err)
 	}
 }
+
+// TestRestoreRejectsForgedNodes forges the node ids a directory entry
+// holds — its owner, its transaction's requester, its sharers and the
+// sender and requester of a queued request — and checks that restore
+// reports each one, where the run would send to a node off the mesh.
+func TestRestoreRejectsForgedNodes(t *testing.T) {
+	const addr = 0x1000
+	restore := func(forge func(h *harness, e *dirEntry)) error {
+		h := newHarness(t, 4, 4)
+		h.access(3, addr, true)
+		h.drain(t, 100000)
+		h.access(9, addr, false) // node 3 keeps the block as owner
+		h.drain(t, 100000)
+		e := h.mem.Dirs[h.mem.Cfg.HomeNode(addr, 16)].entries[addr]
+		if e == nil || e.owner < 0 {
+			t.Fatal("the block has no owner")
+		}
+		forge(h, e)
+		w := checkpoint.NewWriter()
+		if err := h.mem.SnapshotTo(w); err != nil {
+			t.Fatal(err)
+		}
+		fresh := newHarness(t, 4, 4)
+		return fresh.mem.RestoreFrom(checkpoint.NewReader(w.Snapshot()), func(int) func(uint64) { return func(uint64) {} })
+	}
+	queue := func(h *harness, e *dirEntry, m Msg) {
+		ref, q := h.mem.msgs.Alloc()
+		*q = m
+		q.ref = ref
+		e.queue = append(e.queue, q)
+	}
+	if err := restore(func(*harness, *dirEntry) {}); err != nil {
+		t.Fatalf("restore rejected an honest snapshot: %v", err)
+	}
+	if err := restore(func(h *harness, e *dirEntry) {
+		e.owner = -1
+		queue(h, e, Msg{Type: MsgGetS, To: ToDir, Addr: addr, From: 15})
+	}); err != nil {
+		t.Fatalf("restore rejected an entry without owner and a queued request from node 15: %v", err)
+	}
+	for name, forge := range map[string]func(h *harness, e *dirEntry){
+		"owner off the mesh":     func(_ *harness, e *dirEntry) { e.owner = 16 },
+		"negative owner":         func(_ *harness, e *dirEntry) { e.owner = -2 },
+		"requester off the mesh": func(_ *harness, e *dirEntry) { e.txn.req = 16 },
+		"sharer off the mesh":    func(_ *harness, e *dirEntry) { e.sharers.add(16) },
+		"queued request from off the mesh": func(h *harness, e *dirEntry) {
+			queue(h, e, Msg{Type: MsgGetS, To: ToDir, Addr: addr, From: 16})
+		},
+		"queued request for a negative requester": func(h *harness, e *dirEntry) {
+			queue(h, e, Msg{Type: MsgGetS, To: ToDir, Addr: addr, From: 2, Req: -1})
+		},
+	} {
+		if err := restore(forge); err == nil {
+			t.Errorf("%s: restore accepted the forged entry", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+	// A pending DRAM response names the node it is sent to.
+	h := newHarness(t, 4, 4)
+	resolve := h.mem.timerResolver(func(int) func(uint64) { return nil })
+	tag := memTag(memTagDramResp, h.mem.Cfg.MCNodes[0])
+	if _, fn := resolve(tag, addr, 15); fn == nil {
+		t.Fatal("restore rejected a DRAM response to node 15")
+	}
+	if _, fn := resolve(tag, addr, 16); fn != nil {
+		t.Error("restore accepted a DRAM response to node 16")
+	}
+}

@@ -72,19 +72,36 @@ func (s *System) SaveMsg(w *checkpoint.Writer, ref uint32) {
 
 // LoadMsg re-interns one serialized message into the message slab and
 // returns its new ref.
-func (s *System) LoadMsg(r *checkpoint.Reader) uint32 {
-	ref, m := s.msgs.Alloc()
-	loadMsgFields(r, m)
-	m.ref = ref
-	return ref
+func (s *System) LoadMsg(r *checkpoint.Reader) (uint32, error) {
+	m, err := s.internMsg(r)
+	if err != nil {
+		return 0, err
+	}
+	return m.ref, nil
 }
 
-// internMsg re-interns a directory-held message (wait queue / pipeline).
-func (s *System) internMsg(r *checkpoint.Reader) *Msg {
+// internMsg re-interns an in-flight or directory-held message (wait queue
+// / pipeline), rejecting one whose sender or requester is not a node: a
+// message's receiver answers both through the NoC.
+func (s *System) internMsg(r *checkpoint.Reader) (*Msg, error) {
 	ref, m := s.msgs.Alloc()
 	loadMsgFields(r, m)
 	m.ref = ref
-	return m
+	if err := checkNodes(len(s.l1s), false, m.From, m.Req); err != nil && r.Err() == nil {
+		return nil, fmt.Errorf("mem: %s message: %w", m.Type, err)
+	}
+	return m, r.Err()
+}
+
+// checkNodes returns an error unless every id is a node of an n-node
+// mesh, or -1 where none allows one.
+func checkNodes(n int, none bool, ids ...int) error {
+	for _, id := range ids {
+		if (id < 0 || id >= n) && !(none && id == -1) {
+			return fmt.Errorf("node %d outside the %d nodes", id, n)
+		}
+	}
+	return nil
 }
 
 // SnapshotTo writes the memory hierarchy's complete dynamic state: the
@@ -157,7 +174,9 @@ func (s *System) RestoreFrom(r *checkpoint.Reader, contFor func(node int) func(n
 		return fmt.Errorf("mem: snapshot has %d directories, system %d", nd, len(s.Dirs))
 	}
 	for _, d := range s.Dirs {
-		d.restoreFrom(r, s)
+		if err := d.restoreFrom(r, s); err != nil {
+			return err
+		}
 	}
 	nm := r.Len()
 	if r.Err() == nil && nm != len(s.Cfg.MCNodes) {
@@ -188,7 +207,7 @@ func (s *System) freshL1Record() []byte {
 
 // timerResolver rebinds saved delay-queue actions to live callbacks.
 func (s *System) timerResolver(contFor func(node int) func(now uint64)) func(tag uint32, a, b uint64) (func(uint64), func(now, a, b uint64)) {
-	return func(tag uint32, _, _ uint64) (func(uint64), func(now, a, b uint64)) {
+	return func(tag uint32, _, b uint64) (func(uint64), func(now, a, b uint64)) {
 		node := int(tag >> 8)
 		if node >= len(s.l1s) {
 			return nil, nil
@@ -215,7 +234,7 @@ func (s *System) timerResolver(contFor func(node int) func(now uint64)) func(tag
 		case memTagDirProcess:
 			return nil, s.Dirs[node].processFn
 		case memTagDramResp:
-			if mc, ok := s.MCs[node]; ok {
+			if mc, ok := s.MCs[node]; ok && b < uint64(len(s.l1s)) {
 				return nil, mc.respFn
 			}
 		}
@@ -430,8 +449,10 @@ func (d *Directory) snapshotTo(w *checkpoint.Writer) {
 }
 
 // restoreFrom overwrites one directory's dynamic state, re-interning the
-// retained messages into sys's fresh message slab.
-func (d *Directory) restoreFrom(r *checkpoint.Reader, sys *System) {
+// retained messages into sys's fresh message slab. It rejects an entry
+// whose owner, requester or sharers are not nodes.
+func (d *Directory) restoreFrom(r *checkpoint.Reader, sys *System) error {
+	nodes := len(sys.l1s)
 	st := &d.Stats
 	for _, p := range []*uint64{
 		&st.GetS, &st.GetM, &st.Puts, &st.StalePuts, &st.Forwards,
@@ -443,7 +464,7 @@ func (d *Directory) restoreFrom(r *checkpoint.Reader, sys *System) {
 	d.entries = make(map[uint64]*dirEntry)
 	d.entryFree = nil
 	n := r.Len()
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		addr := r.U64()
 		e := d.entry(addr)
 		e.state = dirState(r.U8())
@@ -461,12 +482,29 @@ func (d *Directory) restoreFrom(r *checkpoint.Reader, sys *System) {
 		e.txn.notifyDirty = r.Bool()
 		e.txn.gotUnblock = r.Bool()
 		e.txn.waitingDram = r.Bool()
+		if err := checkNodes(nodes, true, e.owner); err != nil && r.Err() == nil {
+			return fmt.Errorf("mem: directory %d block %#x owner: %w", d.node, addr, err)
+		}
+		if err := checkNodes(nodes, false, e.txn.req); err != nil && r.Err() == nil {
+			return fmt.Errorf("mem: directory %d block %#x requester: %w", d.node, addr, err)
+		}
+		if m := e.sharers.members(); len(m) > 0 && m[len(m)-1] >= nodes {
+			return fmt.Errorf("mem: directory %d block %#x sharer %d outside the %d nodes", d.node, addr, m[len(m)-1], nodes)
+		}
 		nq := r.Len()
-		for j := 0; j < nq; j++ {
-			e.queue = append(e.queue, sys.internMsg(r))
+		for j := 0; j < nq && r.Err() == nil; j++ {
+			m, err := sys.internMsg(r)
+			if err != nil {
+				return err
+			}
+			e.queue = append(e.queue, m)
 		}
 		if r.Bool() {
-			e.pending = sys.internMsg(r)
+			m, err := sys.internMsg(r)
+			if err != nil {
+				return err
+			}
+			e.pending = m
 		}
 	}
 	d.l2sets = make(map[int][]uint64)
@@ -479,6 +517,7 @@ func (d *Directory) restoreFrom(r *checkpoint.Reader, sys *System) {
 		s := make([]uint64, 0, d.cfg.L2Ways+1)
 		d.l2sets[set] = append(s, blocks...)
 	}
+	return r.Err()
 }
 
 // snapshotTo writes one memory controller's dynamic state.

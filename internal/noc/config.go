@@ -110,9 +110,9 @@ const (
 	MaxLinkLatency = 1024
 )
 
-// maxRouterVCs bounds the mesh's router input VCs: a credit event carries
-// a router VC's arena index in 31 bits.
-const maxRouterVCs = 1<<31 - 1
+// maxCreditVCs bounds the mesh's router output and NI injection VCs: a
+// credit event carries a VC's arena index in 31 bits.
+const maxCreditVCs = 1<<31 - 1
 
 // DefaultConfig returns the paper's 8x8 configuration.
 func DefaultConfig() Config {
@@ -160,9 +160,9 @@ func (c *Config) Validate() error {
 		// The router tracks per-port VC state in 64-bit masks.
 		return &ConfigError{Field: "VCs", Reason: fmt.Sprintf("at most 64 per port, got %d", c.VCs)}
 	}
-	if int64(c.Width)*int64(c.Height)*int64(NumDirs)*int64(c.VCs) > maxRouterVCs {
+	if int64(c.Width)*int64(c.Height)*int64(NumDirs+1)*int64(c.VCs) > maxCreditVCs {
 		return &ConfigError{Field: "Width/Height",
-			Reason: fmt.Sprintf("mesh %dx%d with %d VCs per port has more than %d router VCs", c.Width, c.Height, c.VCs, maxRouterVCs)}
+			Reason: fmt.Sprintf("mesh %dx%d with %d VCs per port has more than %d router and NI VCs", c.Width, c.Height, c.VCs, maxCreditVCs)}
 	}
 	if c.VCDepth <= 0 {
 		c.VCDepth = 4

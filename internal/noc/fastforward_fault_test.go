@@ -14,8 +14,8 @@ import (
 // a fault-delayed flit at some point, which is exactly the regime where a
 // flit's due cycle is not its send cycle plus the link latency: a delayed
 // flit holds back the flits behind it on its link (the wheel clamps their
-// due cycles to its own; an NI queue blocks behind it), and an already-due
-// flit can wait across a fast-forward window.
+// due cycles to its own), and an already-due flit can wait across a
+// fast-forward window.
 func delayPlan(delay uint64) fault.Plan {
 	return fault.Plan{Seed: 23, DelayRate: 0.5, DelayCycles: delay, ClassMask: 0xffff}
 }
@@ -61,15 +61,12 @@ func delayedNet(t *testing.T, delay uint64) (*Network, *fault.Injector, *strings
 
 // TestNextEventCycleFaultDelayFloor is the regression test for
 // NextEventCycle's conservative now+1 floor under fault-injected link
-// delays. With delays in flight, an NI queue is FIFO but not sorted by
-// `at`: an event can be due at or before `now` while sitting behind a
-// delayed head, and the head-based horizon of an NI queue can trail the
-// clock after a skip. The floor clamps every such case to now+1 — if it
-// ever regressed to returning a cycle <= now, the engine's wake heap
-// would stop advancing the clock (a due-now entry re-inserted forever).
-// The walk below drives the network exclusively through
-// NextEventCycle-sized jumps, so a stuck horizon fails fast instead of
-// timing out.
+// delays, where flits wait behind delayed ones and already-due
+// router-bound flits are drained a cycle late. If the floor ever
+// regressed to returning a cycle <= now, the engine's wake heap would
+// stop advancing the clock (a due-now entry re-inserted forever). The
+// walk below drives the network exclusively through NextEventCycle-sized
+// jumps, so a stuck horizon fails fast instead of timing out.
 func TestNextEventCycleFaultDelayFloor(t *testing.T) {
 	n, inj, _ := delayedNet(t, 40)
 	now := uint64(0)
@@ -164,6 +161,45 @@ func TestDelayedFlitHoldsBackItsLink(t *testing.T) {
 		a, c := arrived[lock][r], arrived[ctrl][r]
 		if a == 0 || c == 0 || c < a {
 			t.Errorf("router %d: delayed lock flit arrived at %d, the control flit behind it at %d", r, a, c)
+		}
+	}
+}
+
+// TestEjectionOrderUnderFaultDelays pins the order of same-cycle
+// deliveries: NIs take their flits in ascending node order, so deliveries
+// within one cycle come in ascending node order even when fault delays
+// make a later send to a lower node due in the same cycle as an earlier
+// send to a higher one.
+func TestEjectionOrderUnderFaultDelays(t *testing.T) {
+	for _, delay := range []uint64{1, 2, 3, 5, 8, 13, 40} {
+		n, inj, _ := delayedNet(t, delay)
+		var lastAt uint64
+		lastNode, same, bad := -1, 0, 0
+		for i := range n.NIs {
+			node := i
+			n.SetSink(node, func(now uint64, pkt *Packet) {
+				if now == lastAt {
+					same++
+					if node < lastNode {
+						bad++
+					}
+				}
+				lastAt, lastNode = now, node
+				n.FreePacket(pkt)
+			})
+		}
+		for now := uint64(1); n.Busy(); now++ {
+			if now > 100000 {
+				t.Fatalf("delay %d: network did not drain", delay)
+			}
+			n.Tick(now)
+		}
+		if inj.Stats.DelayedFlits.Load() == 0 || same == 0 {
+			t.Fatalf("delay %d: %d delayed flits, %d same-cycle deliveries; the test exercised nothing",
+				delay, inj.Stats.DelayedFlits.Load(), same)
+		}
+		if bad > 0 {
+			t.Errorf("delay %d: %d of %d same-cycle deliveries came after a higher node's", delay, bad, same)
 		}
 	}
 }

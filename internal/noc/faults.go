@@ -39,11 +39,9 @@ func (n *Network) SetFaults(inj *fault.Injector) {
 // flits in the wheel: a link's last due cycle is its latest flit's, and a
 // link with no flit in flight needs no clamp.
 func (n *Network) resetLastDue() {
-	n.lastDue = make([]uint64, n.Cfg.Nodes()*int(NumDirs))
-	n.wheel.forEach(func(due uint64, ev flitEvent) {
-		k := int(ev.node)*int(NumDirs) + int(ev.port)
-		n.lastDue[k] = max(n.lastDue[k], due)
-	}, func(uint64, uint32) {})
+	n.lastDue = make([]uint64, n.Cfg.Nodes()*(int(NumDirs)+1))
+	each(&n.wheel, n.wheel.flits, func(due uint64, ev flitEvent) { n.clampDue(due, &ev, false) })
+	each(&n.wheel, n.wheel.ejects, func(due uint64, ev flitEvent) { n.clampDue(due, &ev, true) })
 }
 
 // resizeWheel gives the wheel the span a link flight of flight cycles
@@ -51,11 +49,14 @@ func (n *Network) resetLastDue() {
 // events never shrinks: they may be due further out than the new span.
 func (n *Network) resizeWheel(flight int) {
 	w := newWheel(flight)
-	if w.span() == n.wheel.span() || w.span() < n.wheel.span() && n.wheel.nflits+n.wheel.ncredits > 0 {
+	old := &n.wheel
+	if w.span() == old.span() || w.span() < old.span() && old.nflits+old.ncredits+old.nejects > 0 {
 		return
 	}
-	w.base = n.wheel.base
-	n.wheel.forEach(w.pushFlit, w.pushCredit)
+	w.base = old.base
+	each(old, old.flits, w.pushFlit)
+	each(old, old.credits, w.pushCredit)
+	each(old, old.ejects, w.pushEject)
 	n.wheel = w
 }
 
@@ -95,8 +96,9 @@ type Census struct {
 	Dropped       uint64 // tails removed by the fault injector
 }
 
-// CensusNow scans the network and returns the packet census. O(nodes ×
-// links) — diagnostic-path only.
+// CensusNow scans the wheel, the routers and the NIs and returns the
+// packet census. O(nodes + wheel span + events in flight) —
+// diagnostic-path only.
 func (n *Network) CensusNow() Census {
 	c := Census{
 		Injected:  n.Injected(),
@@ -106,18 +108,15 @@ func (n *Network) CensusNow() Census {
 	if n.faults != nil {
 		c.Dropped = n.faults.Stats.DroppedTails.Load()
 	}
-	n.wheel.forEach(func(_ uint64, ev flitEvent) {
+	tails := func(_ uint64, ev flitEvent) {
 		if ev.fate == fateNormal && ev.isTail() {
 			c.LinkTails++
 		}
-	}, func(uint64, uint32) {})
+	}
+	each(&n.wheel, n.wheel.flits, tails)
+	each(&n.wheel, n.wheel.ejects, tails)
 	for _, ni := range n.NIs {
 		c.Queued += ni.QueuedPkts
-		for _, ev := range ni.inFlits {
-			if ev.fate == fateNormal && int(ev.seq) == ev.pkt.Size-1 {
-				c.LinkTails++
-			}
-		}
 	}
 	for _, r := range n.Routers {
 		for i := range r.in {
@@ -157,26 +156,9 @@ func (n *Network) CheckConservation() error {
 // receiver on arrival), so out-of-range counters are a simulator bug
 // even under faults.
 func (n *Network) CheckCreditBounds() error {
-	depth := n.Cfg.VCDepth
-	for _, r := range n.Routers {
-		for d := Dir(0); d < NumDirs; d++ {
-			if !n.Cfg.linked(r.id, d) {
-				continue
-			}
-			for v, cr := range r.out[d].credits {
-				if cr < 0 || int(cr) > depth {
-					return fmt.Errorf("noc: router %d dir %s vc %d credits %d outside [0, %d]",
-						r.id, d, v, cr, depth)
-				}
-			}
-		}
-	}
-	for _, ni := range n.NIs {
-		for v, cr := range ni.outCredits {
-			if cr < 0 || int(cr) > depth {
-				return fmt.Errorf("noc: NI %d vc %d credits %d outside [0, %d]",
-					ni.node, v, cr, depth)
-			}
+	for idx, cr := range n.credits {
+		if cr < 0 || int(cr) > n.Cfg.VCDepth {
+			return fmt.Errorf("noc: %s credits %d outside [0, %d]", n.creditName(idx), cr, n.Cfg.VCDepth)
 		}
 	}
 	return nil

@@ -15,22 +15,24 @@ func checkInvariants(t *testing.T, n *Network, now uint64) {
 	if n.Busy() != n.scanBusy() {
 		t.Fatalf("cycle %d: Busy=%v scanBusy=%v act=%d", now, n.Busy(), n.scanBusy(), n.activity)
 	}
-	niEv, rf, qp := 0, 0, 0
+	rf, qp := 0, 0
 	for _, ni := range n.NIs {
-		niEv += len(ni.inFlits) + len(ni.inCredits)
 		qp += ni.QueuedPkts
 	}
 	for _, r := range n.Routers {
 		rf += r.flitCount
 	}
-	if niEv != n.niEvents || rf != n.routerFlits || qp != n.queuedPkts {
-		t.Fatalf("cycle %d: niEvents %d/%d routerFlits %d/%d queuedPkts %d/%d",
-			now, niEv, n.niEvents, rf, n.routerFlits, qp, n.queuedPkts)
+	if rf != n.routerFlits || qp != n.queuedPkts {
+		t.Fatalf("cycle %d: routerFlits %d/%d queuedPkts %d/%d", now, rf, n.routerFlits, qp, n.queuedPkts)
 	}
-	wf, wc := 0, 0
-	n.wheel.forEach(func(uint64, flitEvent) { wf++ }, func(uint64, uint32) { wc++ })
-	if wf != n.wheel.nflits || wc != n.wheel.ncredits {
-		t.Fatalf("cycle %d: wheel flits %d/%d credits %d/%d", now, wf, n.wheel.nflits, wc, n.wheel.ncredits)
+	w := &n.wheel
+	wf, wc, we := 0, 0, 0
+	each(w, w.flits, func(uint64, flitEvent) { wf++ })
+	each(w, w.credits, func(uint64, uint32) { wc++ })
+	each(w, w.ejects, func(uint64, flitEvent) { we++ })
+	if wf != w.nflits || wc != w.ncredits || we != w.nejects {
+		t.Fatalf("cycle %d: wheel flits %d/%d credits %d/%d ejections %d/%d",
+			now, wf, w.nflits, wc, w.ncredits, we, w.nejects)
 	}
 	for _, r := range n.Routers {
 		routed, active, fc := 0, 0, 0

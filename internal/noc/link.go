@@ -8,14 +8,12 @@ import (
 )
 
 // Links. A link carries flits one way and credits the other, and every
-// sender stamps an event due LinkLatency cycles later. Events bound for a
-// router — flits into its input ports, credits into its output ports —
-// go onto one network-wide wheel of slots indexed by due cycle, so a
-// send is an append to the slot of its due cycle and the tick drains
-// exactly the slots that are due, in cycle order. Events bound for an NI
-// — a router's ejection flits and the credits its Local input port
-// returns — stay in per-NI FIFO queues, which the NI phase drains in node
-// order: delivery callbacks observe that order.
+// sender stamps an event due LinkLatency cycles later. Every event in
+// flight — flits into router input ports, credits into router output
+// ports and NI injection ports, and flits ejected to an NI — goes onto
+// one network-wide wheel of slots indexed by due cycle, so a send is an
+// insert into the slot of its due cycle and the tick drains exactly the
+// slots that are due, in cycle order.
 //
 // No link is stored: a router's neighbour one hop in direction d is
 // node+step[d], and it receives on port d^2 (North<->South,
@@ -40,9 +38,10 @@ const (
 	numFates
 )
 
-// flitEvent is a router-bound flit in flight: flit seq of pkt, for input
-// VC vc of port port at router node. It is 24 bytes and carries no due
-// cycle: its wheel slot is its due cycle.
+// flitEvent is a flit in flight: flit seq of pkt, for input VC vc of port
+// port at router node, or, as an ejection, for VC vc of NI node (port
+// Local). It is 24 bytes and carries no due cycle: its wheel slot is its
+// due cycle.
 type flitEvent struct {
 	pkt  *Packet
 	seq  int32
@@ -55,42 +54,29 @@ type flitEvent struct {
 // isTail reports whether the event carries its packet's last flit.
 func (ev *flitEvent) isTail() bool { return int(ev.seq) == ev.pkt.Size-1 }
 
-// niFlit is a flit in flight on a router's ejection link, due at cycle at
-// on VC vc of the NI.
-type niFlit struct {
-	pkt  *Packet
-	seq  int32
-	vc   uint8
-	fate fate
-	at   uint64
-}
-
-// niCredit is a credit in flight from a router's Local input port to its
-// NI: one buffer slot of VC vc was freed, and freeVC also releases the VC
-// (the tail flit left the router's buffer).
-type niCredit struct {
-	at     uint64
-	vc     uint8
-	freeVC bool
-}
-
-// wheel holds the router-bound events in flight. Slot i holds the events
-// due at the one cycle c in [base, base+len) with c mod len == i, in send
-// order; a flit slot and a credit slot share each index. fbits/cbits mark
-// the non-empty slots, so finding the next due slot, the earliest flit
-// and the latest credit reads a word or two whatever the span. Credit
-// events are one uint32: the credit-arena index of the output VC they
-// return a slot to, shifted left once, with the low bit set when the
-// credit also frees the VC.
+// wheel holds the link events in flight. Slot i holds the events due at
+// the one cycle c in [base, base+len) with c mod len == i, in three
+// lists: router-bound flits and credits in send order, and ejections in
+// node order, first in first out within a node — the order the NIs take
+// their flits in, which delivery callbacks observe. fbits/cbits/ebits
+// mark the non-empty slots of each list, so finding the next due slot,
+// the earliest flit or ejection and the latest credit reads a word or two
+// whatever the span. Credit events are one uint32: the credit-arena index
+// of the router output VC or NI injection VC they return a slot to,
+// shifted left once, with the low bit set when the credit also frees the
+// VC.
 type wheel struct {
 	base     uint64
 	mask     uint64
 	flits    [][]flitEvent
 	credits  [][]uint32
+	ejects   [][]flitEvent
 	fbits    []uint64
 	cbits    []uint64
+	ebits    []uint64
 	nflits   int
 	ncredits int
+	nejects  int
 }
 
 // newWheel returns a wheel whose span covers every due cycle a send can
@@ -105,12 +91,15 @@ func newWheel(flight int) wheel {
 	for span <= flight {
 		span <<= 1
 	}
+	words := (span + 63) / 64
 	return wheel{
 		mask:    uint64(span - 1),
 		flits:   make([][]flitEvent, span),
 		credits: make([][]uint32, span),
-		fbits:   make([]uint64, (span+63)/64),
-		cbits:   make([]uint64, (span+63)/64),
+		ejects:  make([][]flitEvent, span),
+		fbits:   make([]uint64, words),
+		cbits:   make([]uint64, words),
+		ebits:   make([]uint64, words),
 	}
 }
 
@@ -137,6 +126,23 @@ func (w *wheel) pushCredit(due uint64, ev uint32) {
 	w.credits[i] = append(w.credits[i], ev)
 	w.cbits[i>>6] |= 1 << (i & 63)
 	w.ncredits++
+}
+
+// pushEject inserts ejection ev into the slot of cycle due, after the last
+// ejection whose node is at or below its own. Routers eject in ascending
+// node order within a tick, so only a fault delay makes this more than an
+// append.
+func (w *wheel) pushEject(due uint64, ev flitEvent) {
+	i := due & w.mask
+	es := append(w.ejects[i], ev)
+	k := len(es) - 1
+	for ; k > 0 && es[k-1].node > ev.node; k-- {
+		es[k] = es[k-1]
+	}
+	es[k] = ev
+	w.ejects[i] = es
+	w.ebits[i>>6] |= 1 << (i & 63)
+	w.nejects++
 }
 
 // rotated returns a span-slot bitmap of at most 64 slots turned so that
@@ -190,44 +196,42 @@ func lastSet(bm []uint64, p, span uint64) uint64 {
 }
 
 // nextDue returns the distance from base to the first slot holding an
-// event of either kind, or the span when the wheel is empty.
+// event of any kind, or the span when the wheel is empty.
 func (w *wheel) nextDue() uint64 {
 	p, span := w.base&w.mask, w.span()
-	return min(firstSet(w.fbits, p, span), firstSet(w.cbits, p, span))
+	return min(firstSet(w.fbits, p, span), firstSet(w.cbits, p, span), firstSet(w.ebits, p, span))
 }
 
-// firstFlit returns the due cycle of the earliest flit; the wheel must
-// hold one.
-func (w *wheel) firstFlit() uint64 { return w.base + firstSet(w.fbits, w.base&w.mask, w.span()) }
+// first returns the due cycle of the earliest slot bitmap bm (fbits,
+// cbits or ebits) marks; bm must mark one.
+func (w *wheel) first(bm []uint64) uint64 { return w.base + firstSet(bm, w.base&w.mask, w.span()) }
 
-// lastCredit returns the due cycle of the latest credit; the wheel must
-// hold one.
-func (w *wheel) lastCredit() uint64 { return w.base + lastSet(w.cbits, w.base&w.mask, w.span()) }
+// last returns the due cycle of the latest slot bitmap bm marks; bm must
+// mark one.
+func (w *wheel) last(bm []uint64) uint64 { return w.base + lastSet(bm, w.base&w.mask, w.span()) }
 
-// forEach calls fn for every event in due-cycle order, flits before the
-// credits of the same cycle: the order Tick drains them in. fn must not
+// each calls fn for every event of lists — the wheel's flits, credits or
+// ejects — in due-cycle order, list order within a cycle. fn must not
 // push.
-func (w *wheel) forEach(flit func(due uint64, ev flitEvent), credit func(due uint64, ev uint32)) {
+func each[E any](w *wheel, lists [][]E, fn func(due uint64, ev E)) {
 	for d := uint64(0); d < w.span(); d++ {
 		c := w.base + d
-		i := c & w.mask
-		for _, ev := range w.flits[i] {
-			flit(c, ev)
-		}
-		for _, ev := range w.credits[i] {
-			credit(c, ev)
+		for _, ev := range lists[c&w.mask] {
+			fn(c, ev)
 		}
 	}
 }
 
-// drainWheel is Tick phase 1: it commits every router-bound event due at
-// or before now, slot by slot in cycle order, flits before credits. A
-// flit commits with its slot's cycle as its arrival stamp. A drop-marked
-// flit's credit lands LinkLatency slots later, so when that is still due
-// it is drained by a later step of this same loop.
+// drainWheel is Tick phase 1: it delivers every event due at or before
+// now, slot by slot in cycle order: router-bound flits, then credits, then
+// ejections. A flit commits with its slot's cycle as its arrival stamp. A
+// drop-marked flit's credit lands LinkLatency slots later, so when that
+// is still due it is drained by a later step of this same loop.
+// Ejections are never deferred (NextEventCycle answers their slot
+// exactly), so their slot is now, and their credits land past it.
 func (n *Network) drainWheel(now uint64) {
 	w := &n.wheel
-	for w.nflits+w.ncredits > 0 {
+	for w.nflits+w.ncredits+w.nejects > 0 {
 		c := w.base + w.nextDue()
 		if c > now {
 			break
@@ -252,6 +256,15 @@ func (n *Network) drainWheel(now uint64) {
 			w.ncredits -= len(cs)
 			n.activity -= len(cs)
 		}
+		if es := w.ejects[i]; len(es) > 0 {
+			for k := range es {
+				n.NIs[es[k].node].eject(now, &es[k])
+			}
+			w.ejects[i] = es[:0]
+			w.ebits[i>>6] &^= 1 << (i & 63)
+			w.nejects -= len(es)
+			n.activity -= len(es)
+		}
 		w.base = c + 1
 	}
 	if w.base <= now {
@@ -259,14 +272,14 @@ func (n *Network) drainWheel(now uint64) {
 	}
 }
 
-// commitCredit returns one buffer slot to the router output VC credit
-// event ev names, freeing the VC when its free bit is set.
+// commitCredit returns one buffer slot to the router output VC or NI
+// injection VC credit event ev names, freeing the VC when its free bit is
+// set.
 func (n *Network) commitCredit(ev uint32) {
 	idx := ev >> 1
 	n.credits[idx]++
 	if int(n.credits[idx]) > n.Cfg.VCDepth {
-		node, v := int(idx)/n.perRouter, int(idx)%n.perRouter
-		panic(fmt.Sprintf("noc: router %d dir %s vc %d credit overflow", node, Dir(v/n.Cfg.VCs), v%n.Cfg.VCs))
+		panic(fmt.Sprintf("noc: %s credit overflow", n.creditName(int(idx))))
 	}
 	if ev&1 != 0 {
 		n.vcAlloc[idx] = false
@@ -274,16 +287,22 @@ func (n *Network) commitCredit(ev uint32) {
 }
 
 // sendFlit puts flit seq of pkt on the link leaving router node through
-// port out, arriving at cycle at on VC vc: into the wheel toward the
-// neighbouring router, or onto the node's NI queue for out == Local.
+// port out, arriving at cycle at on VC vc: toward the neighbouring router,
+// or toward the node's NI for out == Local.
 func (n *Network) sendFlit(node int, out Dir, pkt *Packet, seq int32, vc uint8, at uint64) {
 	if out == Local {
-		n.ejectFlit(node, pkt, seq, vc, at)
+		ev := flitEvent{pkt: pkt, seq: seq, node: int32(node), port: Local, vc: vc}
+		if n.faults != nil {
+			n.sendFaulted(at, ev, LinkID(node, Local), true)
+			return
+		}
+		n.wheel.pushEject(at, ev)
+		n.activity++
 		return
 	}
 	if n.faults != nil {
 		ev := flitEvent{pkt: pkt, seq: seq, node: int32(node + n.step[out]), port: out ^ 2, vc: vc}
-		n.sendFaulted(at, ev, LinkID(node, out))
+		n.sendFaulted(at, ev, LinkID(node, out), false)
 		return
 	}
 	ev := n.wheel.newFlit(at)
@@ -291,41 +310,39 @@ func (n *Network) sendFlit(node int, out Dir, pkt *Packet, seq int32, vc uint8, 
 	n.activity++
 }
 
-// ejectFlit queues a flit on router node's ejection link toward its NI.
-// The queue is FIFO, so a fault-delayed flit holds back the flits behind
-// it.
-func (n *Network) ejectFlit(node int, pkt *Packet, seq int32, vc uint8, at uint64) {
-	cnt, f := 1, fateNormal
-	if n.faults != nil {
-		cnt, at, f = n.flitFate(at, pkt, seq, LinkID(node, Local))
-	}
-	ni := n.NIs[node]
-	ni.inFlits = append(ni.inFlits, niFlit{pkt: pkt, seq: seq, vc: vc, fate: f, at: at})
-	if cnt == 2 {
-		ni.inFlits = append(ni.inFlits, niFlit{pkt: pkt, seq: seq, vc: vc, fate: fateDup, at: at})
-	}
-	n.activity += cnt
-	n.niEvents += cnt
-	n.niActive.set(node)
-}
-
-// sendFaulted pushes router-bound flit ev, sent on fault link linkID and
-// due at cycle at, after the injector decides its fate. A delay must not
-// let a later flit on the same link overtake this one, so each flit's
-// due cycle is clamped to the last one its link stamped: a later flit
-// arrives with the delayed one, as it would behind it in a FIFO.
-func (n *Network) sendFaulted(at uint64, ev flitEvent, linkID int32) {
+// sendFaulted pushes flit ev, sent on fault link linkID and due at cycle
+// at, after the injector decides its fate: as an ejection when eject is
+// set, else toward a router.
+func (n *Network) sendFaulted(at uint64, ev flitEvent, linkID int32, eject bool) {
 	cnt, due, f := n.flitFate(at, ev.pkt, ev.seq, linkID)
-	k := int(ev.node)*int(NumDirs) + int(ev.port)
-	due = max(due, n.lastDue[k])
-	n.lastDue[k] = due
+	due = n.clampDue(due, &ev, eject)
+	push := n.wheel.pushFlit
+	if eject {
+		push = n.wheel.pushEject
+	}
 	ev.fate = f
-	n.wheel.pushFlit(due, ev)
+	push(due, ev)
 	if cnt == 2 {
 		ev.fate = fateDup
-		n.wheel.pushFlit(due, ev)
+		push(due, ev)
 	}
 	n.activity += cnt
+}
+
+// clampDue returns the due cycle of flit ev, sent due at cycle due, on the
+// link it arrives on: an ejection's link toward its NI, else the link
+// into its router port. A delay must not let a later flit on a link
+// overtake a delayed one, so each flit's due cycle is clamped to the last
+// one its link stamped: a later flit arrives with the delayed one, as it
+// would behind it in a FIFO.
+func (n *Network) clampDue(due uint64, ev *flitEvent, eject bool) uint64 {
+	k := int(ev.node)*int(NumDirs) + int(ev.port)
+	if eject {
+		k = n.Cfg.Nodes()*int(NumDirs) + int(ev.node)
+	}
+	due = max(due, n.lastDue[k])
+	n.lastDue[k] = due
+	return due
 }
 
 // flitFate asks the injector what happens to flit seq of pkt arriving at
@@ -351,16 +368,11 @@ func (n *Network) flitFate(at uint64, pkt *Packet, seq int32, linkID int32) (cnt
 }
 
 // sendCredit returns a credit for VC vc of router node's input port in to
-// the port's upstream sender, due at cycle at: into the wheel toward the
-// neighbouring router's output port, or onto the node's NI queue for
-// in == Local.
+// the port's upstream sender, due at cycle at: the neighbouring router's
+// output port, or the node's NI for in == Local.
 func (n *Network) sendCredit(node int, in Dir, vc int, freeVC bool, at uint64) {
 	if in == Local {
-		ni := n.NIs[node]
-		ni.inCredits = append(ni.inCredits, niCredit{at: at, vc: uint8(vc), freeVC: freeVC})
-		n.activity++
-		n.niEvents++
-		n.niActive.set(node)
+		n.pushCredit(at, n.niBase+node*n.Cfg.VCs+vc, freeVC)
 		return
 	}
 	n.pushCredit(at, n.creditIndex(node+n.step[in], in^2, vc), freeVC)
@@ -372,8 +384,18 @@ func (n *Network) creditIndex(node int, d Dir, vc int) int {
 	return node*n.perRouter + int(d)*n.Cfg.VCs + vc
 }
 
-// pushCredit puts a credit for the output VC at credit-arena index idx
-// into the wheel, due at cycle at.
+// creditName names the VC at credit-arena index idx.
+func (n *Network) creditName(idx int) string {
+	if idx >= n.niBase {
+		idx -= n.niBase
+		return fmt.Sprintf("NI %d vc %d", idx/n.Cfg.VCs, idx%n.Cfg.VCs)
+	}
+	v := idx % n.perRouter
+	return fmt.Sprintf("router %d dir %s vc %d", idx/n.perRouter, Dir(v/n.Cfg.VCs), v%n.Cfg.VCs)
+}
+
+// pushCredit puts a credit for the VC at credit-arena index idx into the
+// wheel, due at cycle at.
 func (n *Network) pushCredit(at uint64, idx int, freeVC bool) {
 	ev := uint32(idx) << 1
 	if freeVC {
@@ -381,21 +403,4 @@ func (n *Network) pushCredit(at uint64, idx int, freeVC bool) {
 	}
 	n.wheel.pushCredit(at, ev)
 	n.activity++
-}
-
-// takeDue moves the first k events of *q out and returns them. The result
-// aliases storage of q or scratch and stays valid until the next call
-// with the same scratch, so every caller stores it back as its scratch:
-// when the whole queue is due (the common case) the queue's backing array
-// is handed over and the scratch becomes the empty queue, instead of
-// copying.
-func takeDue[E any](q *[]E, scratch []E, k int) []E {
-	if k == len(*q) {
-		due := *q
-		*q = scratch[:0]
-		return due
-	}
-	scratch = append(scratch[:0], (*q)[:k]...)
-	*q = (*q)[:copy(*q, (*q)[k:])]
-	return scratch
 }

@@ -44,23 +44,21 @@ type Network struct {
 	// pending loopback deliveries. Sends, routers and NIs all update it,
 	// making Busy O(1) instead of an O(nodes) scan.
 	activity int
-	// wheel holds the router-bound link events (see link.go).
+	// wheel holds the link events in flight (see link.go).
 	wheel wheel
-	// Sub-counts of activity gating individual Tick phases: NI-bound
-	// link events (phase 2), router-buffered flits (phase 4) and NI-queued
-	// packets (phase 5). A phase whose count is zero is a provable no-op.
-	niEvents    int
+	// Sub-counts of activity gating individual Tick phases: router-buffered
+	// flits (phase 3) and NI-queued packets (phase 4). A phase whose count
+	// is zero is a provable no-op.
 	routerFlits int
 	queuedPkts  int
 	// routerActive marks routers holding buffered flits (bit i = router i);
 	// the allocation phase iterates exactly those instead of touching all
 	// Routers every cycle. Routers maintain their own bit as flitCount
-	// crosses zero. niActive and niInject do the same for the NI phases:
-	// bit i means NI i holds undelivered link events / queued packets.
-	// All three are hierarchical (see actSet): a summary word over the
-	// activity words lets giant meshes skip idle 64-node blocks wholesale.
+	// crosses zero. niInject does the same for the injection phase: bit i
+	// means NI i holds queued packets. Both are hierarchical (see actSet):
+	// a summary word over the activity words lets giant meshes skip idle
+	// 64-node blocks wholesale.
 	routerActive actSet
-	niActive     actSet
 	niInject     actSet
 	// waker, when set, is notified on Send so an event-driven engine learns
 	// the network has work without polling it.
@@ -70,15 +68,15 @@ type Network struct {
 	// indexes it directly. step[d] is the node-id offset of the neighbour
 	// one hop in direction d, and perRouter the router VCs per node: the
 	// credit arena (credits, vcAlloc) holds router i's output VCs at
-	// [i*perRouter, (i+1)*perRouter).
+	// [i*perRouter, (i+1)*perRouter) and, from niBase on, NI i's injection
+	// VCs at [niBase+i*VCs, niBase+(i+1)*VCs).
 	routerSlab []Router
 	step       [NumDirs]int
 	perRouter  int
+	niBase     int
 	credits    []int32
 	vcAlloc    []bool
 
-	scratchF  []niFlit
-	scratchC  []niCredit
 	scratchLB []loopbackEvent
 	// alloc is the VA/SA scratch every router's tick shares.
 	alloc allocScratch
@@ -116,7 +114,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.Routers = make([]*Router, nodes)
 	n.NIs = make([]*NI, nodes)
 	n.routerActive = newActSet(nodes)
-	n.niActive = newActSet(nodes)
 	n.niInject = newActSet(nodes)
 	n.wheel = newWheel(cfg.LinkLatency)
 	n.step = [NumDirs]int{North: -cfg.Width, East: 1, South: cfg.Width, West: -1}
@@ -129,14 +126,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.routerSlab = make([]Router, nodes)
 	niSlab := make([]NI, nodes)
 	n.perRouter = int(NumDirs) * cfg.VCs
-	n.credits = make([]int32, nodes*n.perRouter)
-	n.vcAlloc = make([]bool, nodes*n.perRouter)
-	niCreditArena := make([]int32, nodes*cfg.VCs)
-	niAllocArena := make([]bool, nodes*cfg.VCs)
+	n.niBase = nodes * n.perRouter
+	n.credits = make([]int32, n.niBase+nodes*cfg.VCs)
+	n.vcAlloc = make([]bool, len(n.credits))
 	for i := 0; i < nodes; i++ {
 		initRouter(&n.routerSlab[i], n, i, n.credits[i*n.perRouter:], n.vcAlloc[i*n.perRouter:])
 		n.Routers[i] = &n.routerSlab[i]
-		initNI(&niSlab[i], n, i, niCreditArena[i*cfg.VCs:], niAllocArena[i*cfg.VCs:])
+		ni := n.niBase + i*cfg.VCs
+		initNI(&niSlab[i], n, i, n.credits[ni:], n.vcAlloc[ni:])
 		niSlab[i].onDeliver = n.recordDelivery
 		n.NIs[i] = &niSlab[i]
 	}
@@ -260,16 +257,13 @@ func (n *Network) SetWaker(w sim.Waker) { n.waker = w }
 
 // Tick implements sim.Component.
 func (n *Network) Tick(now uint64) {
-	// Phase 1: commit the router-bound link events due by this cycle into
-	// router buffers and router credit state.
+	// Phase 1: deliver the link events due by this cycle: flits into
+	// router buffers, credits into router and NI credit state, ejections
+	// to their NIs in node order.
 	n.drainWheel(now)
-	// Phase 2: NI eject/credit absorption, in node order.
-	if n.niEvents > 0 {
-		n.drainNIs(now)
-	}
-	// Phase 3: loopback deliveries.
+	// Phase 2: loopback deliveries.
 	n.deliverLoopback(now)
-	// Phase 4: router allocation and traversal. Summary-then-word bit
+	// Phase 3: router allocation and traversal. Summary-then-word bit
 	// iteration visits the flit-holding routers in ascending id order — the
 	// same order as a full scan (tick order is invisible anyway: routers
 	// only interact through link events committed in later cycles). A
@@ -285,7 +279,7 @@ func (n *Network) Tick(now uint64) {
 			}
 		}
 	}
-	// Phase 5: NI injection. NIs maintain their own niInject bit as
+	// Phase 4: NI injection. NIs maintain their own niInject bit as
 	// QueuedPkts crosses zero, so bit set ⟺ QueuedPkts > 0 and the
 	// iteration visits exactly the NIs the full scan would, in the same
 	// ascending order. inject never enqueues on another NI.
@@ -301,34 +295,7 @@ func (n *Network) Tick(now uint64) {
 	}
 }
 
-// drainNIs is Tick phase 2: NIs eject arrived flits and absorb credit
-// returns, in node order (delivery callbacks are order-sensitive; bit
-// iteration is ascending, so the order is the same as the full scan's). A
-// bit stays set while its queues hold events — including future-dated
-// ones — and is cleared only here, once both drain; sends during this
-// phase go onto the wheel, so no bit is set mid-iteration.
-func (n *Network) drainNIs(now uint64) {
-	for sw, sword := range n.niActive.sum {
-		for ; sword != 0; sword &= sword - 1 {
-			w := sw<<6 | bits.TrailingZeros64(sword)
-			for word := n.niActive.words[w]; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				ni := n.NIs[i]
-				if len(ni.inFlits) > 0 {
-					ni.eject(now)
-				}
-				if len(ni.inCredits) > 0 {
-					ni.commitCredits(now)
-				}
-				if len(ni.inFlits) == 0 && len(ni.inCredits) == 0 {
-					n.niActive.clear(i)
-				}
-			}
-		}
-	}
-}
-
-// deliverLoopback is Tick phase 3: src==dst deliveries that bypassed the
+// deliverLoopback is Tick phase 2: src==dst deliveries that bypassed the
 // mesh. The due prefix is copied out first: sinks may send new loopback
 // packets while we iterate.
 func (n *Network) deliverLoopback(now uint64) {
@@ -398,16 +365,14 @@ func (n *Network) NextWake(now uint64) uint64 {
 //     and by an NI with queued packets, and either reader forces the
 //     per-cycle now+1 answer above — so while credits alone remain,
 //     nothing can observe when they commit. Pending credits therefore
-//     contribute a single deferred horizon, the latest credit's due cycle
-//     (the wheel's latest credit slot; an NI's queue is nondecreasing, so
-//     its last element's), letting one wake commit every credit at once
-//     instead of one wake per batch. Any earlier flit-driven tick still
-//     commits the due credits first (Tick phase 1 precedes the router
-//     phase), so a reader that does appear sees exactly the eager-drain
-//     credit state.
-//   - NI-bound flit events (found through the niActive hierarchy): exact
-//     head `at`. Ejection timing is externally visible (delivery
-//     callbacks, DeliveredAt), so these are never deferred.
+//     contribute a single deferred horizon, the wheel's latest credit
+//     slot, letting one wake commit every credit at once instead of one
+//     wake per batch. Any earlier flit-driven tick still commits the due
+//     credits first (Tick phase 1 precedes the router phase), so a reader
+//     that does appear sees exactly the eager-drain credit state.
+//   - ejections: the wheel's earliest ejection slot, exactly. Ejection
+//     timing is externally visible (delivery callbacks, DeliveredAt), so
+//     these are never deferred.
 //   - loopback deliveries: the queue is appended in increasing `at` order,
 //     so its head is the next delivery; delivery timing is visible, so it
 //     is exact as well.
@@ -427,38 +392,19 @@ func (n *Network) NextEventCycle(now uint64) uint64 {
 	if len(n.loopback) > 0 {
 		next = n.loopback[0].at
 	}
-	if n.wheel.nflits > 0 {
-		next = min(next, n.wheel.firstFlit()+1)
+	w := &n.wheel
+	if w.nflits > 0 {
+		next = min(next, w.first(w.fbits)+1)
 	}
-	var creditHorizon uint64
-	if n.wheel.ncredits > 0 {
-		creditHorizon = n.wheel.lastCredit()
+	if w.nejects > 0 {
+		next = min(next, w.first(w.ebits))
 	}
-	if n.niEvents > 0 {
-		for sw, sword := range n.niActive.sum {
-			for ; sword != 0; sword &= sword - 1 {
-				w := sw<<6 | bits.TrailingZeros64(sword)
-				for word := n.niActive.words[w]; word != 0; word &= word - 1 {
-					ni := n.NIs[w<<6|bits.TrailingZeros64(word)]
-					if fs := ni.inFlits; len(fs) > 0 && fs[0].at < next {
-						next = fs[0].at
-					}
-					if cs := ni.inCredits; len(cs) > 0 && cs[len(cs)-1].at > creditHorizon {
-						creditHorizon = cs[len(cs)-1].at
-					}
-				}
-			}
-		}
-	}
-	if next == sim.Never && creditHorizon > 0 {
+	if next == sim.Never && w.ncredits > 0 {
 		// Only shadowed credits remain: one wake, at the horizon, drains
 		// them all and lets Busy go quiescent.
-		next = creditHorizon
+		next = w.last(w.cbits)
 	}
-	if next < floor {
-		next = floor
-	}
-	return next
+	return max(next, floor)
 }
 
 // Busy reports whether any traffic is in flight. It reads the maintained
@@ -483,12 +429,13 @@ func (n *Network) scanBusy() bool {
 		}
 	}
 	for _, ni := range n.NIs {
-		if ni.pendingWork() || len(ni.inFlits) > 0 || len(ni.inCredits) > 0 {
+		if ni.pendingWork() {
 			return true
 		}
 	}
-	for i := range n.wheel.flits {
-		if len(n.wheel.flits[i]) > 0 || len(n.wheel.credits[i]) > 0 {
+	w := &n.wheel
+	for i := range w.flits {
+		if len(w.flits[i])+len(w.credits[i])+len(w.ejects[i]) > 0 {
 			return true
 		}
 	}

@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // activeStream is a packet that has been allocated an injection VC and is
 // being streamed flit by flit onto the local link. Streams are stored by
@@ -28,13 +24,8 @@ type NI struct {
 	cfg  *Config
 	node int
 
-	// inFlits holds the flits in flight on the router's ejection link
-	// toward this NI, and inCredits the credits in flight from the
-	// router's Local input port back to it; both are FIFO in due order
-	// (a fault-delayed flit holds back the flits behind it).
-	inFlits   []niFlit
-	inCredits []niCredit
-
+	// outCredits and outAlloc are the injection VCs' credits and
+	// allocation flags: the NI's window of the network's credit arena.
 	outCredits []int32
 	outAlloc   []bool
 
@@ -60,8 +51,8 @@ type NI struct {
 	QueuedPkts int // packets waiting or streaming
 }
 
-// initNI initialises a slab-allocated NI in place; credits and allocs are
-// VCs-sized subslices of the network's node-major arenas.
+// initNI initialises a slab-allocated NI in place; credits and allocs
+// start at the NI's injection VCs in the network's credit arena.
 func initNI(ni *NI, n *Network, node int, credits []int32, allocs []bool) {
 	cfg := &n.Cfg
 	*ni = NI{cfg: cfg, node: node, net: n}
@@ -88,72 +79,35 @@ func (ni *NI) enqueue(now uint64, pkt *Packet) {
 	ni.net.queuedPkts++
 }
 
-// eject absorbs flits delivered by the router this cycle, returning one
-// credit per flit and completing packets on tail flits.
-func (ni *NI) eject(now uint64) {
-	n := ni.net
-	k := 0
-	for k < len(ni.inFlits) && ni.inFlits[k].at <= now {
-		k++
-	}
-	if k == 0 {
+// eject absorbs ejection ev, due this cycle: it returns the flit's
+// credit to the router and completes the packet on its tail flit.
+func (ni *NI) eject(now uint64, ev *flitEvent) {
+	if ev.fate == fateDup {
+		// Injected duplicate: discard before touching the packet (the
+		// original may have been delivered and recycled earlier in this
+		// very slot) and return no credit — the router never budgeted
+		// buffer space for it.
 		return
 	}
-	n.scratchF = takeDue(&ni.inFlits, n.scratchF, k)
-	n.activity -= k
-	n.niEvents -= k
-	at := now + uint64(ni.cfg.LinkLatency)
-	for _, ev := range n.scratchF {
-		if ev.fate == fateDup {
-			// Injected duplicate: discard before touching the packet (the
-			// original may have been delivered and recycled earlier in this
-			// very batch) and return no credit — the router never budgeted
-			// buffer space for it.
-			continue
-		}
-		tail := int(ev.seq) == ev.pkt.Size-1
-		// A drop at the ejection port still returns the credit the router
-		// budgeted, but never delivers the packet.
-		n.pushCredit(at, n.creditIndex(ni.node, Local, int(ev.vc)), tail)
-		if ev.fate == fateDrop || !tail {
-			continue
-		}
-		pkt := ev.pkt
-		pkt.DeliveredAt = now
-		ni.Delivered[pkt.Class]++
-		if ni.obs != nil {
-			ni.obs.PktEjected(now, pkt.ID, ni.node, pkt.Hops, pkt.NetLatency(), pkt.TotalLatency(), uint8(pkt.Class))
-		}
-		if ni.onDeliver != nil {
-			ni.onDeliver(pkt)
-		}
-		if ni.sink != nil {
-			ni.sink(now, pkt)
-		}
-	}
-}
-
-// commitCredits absorbs credit returns from the router's Local input port.
-func (ni *NI) commitCredits(now uint64) {
 	n := ni.net
-	k := 0
-	for k < len(ni.inCredits) && ni.inCredits[k].at <= now {
-		k++
-	}
-	if k == 0 {
+	tail := ev.isTail()
+	// A drop at the ejection port still returns the credit the router
+	// budgeted, but never delivers the packet.
+	n.pushCredit(now+uint64(ni.cfg.LinkLatency), n.creditIndex(ni.node, Local, int(ev.vc)), tail)
+	if ev.fate == fateDrop || !tail {
 		return
 	}
-	n.scratchC = takeDue(&ni.inCredits, n.scratchC, k)
-	n.activity -= k
-	n.niEvents -= k
-	for _, ev := range n.scratchC {
-		ni.outCredits[ev.vc]++
-		if int(ni.outCredits[ev.vc]) > ni.cfg.VCDepth {
-			panic(fmt.Sprintf("noc: NI %d credit overflow on vc %d", ni.node, ev.vc))
-		}
-		if ev.freeVC {
-			ni.outAlloc[ev.vc] = false
-		}
+	pkt := ev.pkt
+	pkt.DeliveredAt = now
+	ni.Delivered[pkt.Class]++
+	if ni.obs != nil {
+		ni.obs.PktEjected(now, pkt.ID, ni.node, pkt.Hops, pkt.NetLatency(), pkt.TotalLatency(), uint8(pkt.Class))
+	}
+	if ni.onDeliver != nil {
+		ni.onDeliver(pkt)
+	}
+	if ni.sink != nil {
+		ni.sink(now, pkt)
 	}
 }
 
@@ -225,7 +179,7 @@ func (ni *NI) inject(now uint64) {
 	ev := flitEvent{pkt: st.pkt, seq: int32(st.next), node: int32(ni.node), port: Local, vc: uint8(st.vc)}
 	at := now + uint64(ni.cfg.LinkLatency)
 	if n.faults != nil {
-		n.sendFaulted(at, ev, n.NILinkID(ni.node))
+		n.sendFaulted(at, ev, n.NILinkID(ni.node), false)
 	} else {
 		n.wheel.pushFlit(at, ev)
 		n.activity++

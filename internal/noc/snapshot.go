@@ -17,8 +17,8 @@ type PayloadSaver func(w *checkpoint.Writer, kind PayloadKind, ref uint32) error
 type PayloadLoader func(r *checkpoint.Reader, kind PayloadKind) (uint32, error)
 
 // collectPackets gathers every live packet reachable from the network's
-// dynamic state — loopback events, wheel flit events, router VC buffers
-// and NI queues, streams and ejection queues — in a canonical sweep
+// dynamic state — loopback events, the wheel's flits and ejections,
+// router VC buffers and NI queues and streams — in a canonical sweep
 // order, assigning each distinct packet a table index. Dup-marked flit
 // events share their packet with the original event sent alongside them,
 // so every pointer seen here is live.
@@ -38,7 +38,8 @@ func (n *Network) collectPackets() ([]*Packet, map[*Packet]int32) {
 	for _, ev := range n.loopback {
 		add(ev.pkt)
 	}
-	n.wheel.forEach(func(_ uint64, ev flitEvent) { add(ev.pkt) }, func(uint64, uint32) {})
+	each(&n.wheel, n.wheel.flits, func(_ uint64, ev flitEvent) { add(ev.pkt) })
+	each(&n.wheel, n.wheel.ejects, func(_ uint64, ev flitEvent) { add(ev.pkt) })
 	for _, r := range n.Routers {
 		for i := range r.in {
 			if vc := &r.in[i]; vc.n > 0 {
@@ -53,20 +54,17 @@ func (n *Network) collectPackets() ([]*Packet, map[*Packet]int32) {
 			}
 			add(ni.active[vn].pkt)
 		}
-		for _, ev := range ni.inFlits {
-			add(ev.pkt)
-		}
 	}
 	return pkts, idx
 }
 
 // SnapshotTo writes the network's complete dynamic state: statistics, the
 // live-packet table (payloads serialized through savePayload), loopback
-// events, the wheel's router-bound link events, every router's pipeline
-// and credit state (a router that never built its input VCs writes a
-// fresh router's VC records) and every NI's queues, streams and NI-bound
-// link events. Derived activity counters and bitmaps are recomputed on
-// restore; their totals are written anyway as an integrity cross-check.
+// events, the wheel's link events, every router's pipeline and credit
+// state (a router that never built its input VCs writes a fresh router's
+// VC records) and every NI's credits, queues and streams. Derived
+// activity counters and bitmaps are recomputed on restore; their totals
+// are written anyway as an integrity cross-check.
 func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) error {
 	pkts, pktIdx := n.collectPackets()
 	for _, p := range pkts {
@@ -94,7 +92,6 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 	w.U64(n.pktID)
 	// Integrity cross-check totals (recomputed on restore).
 	w.Int(n.activity)
-	w.Int(n.niEvents)
 	w.Int(n.routerFlits)
 	w.Int(n.queuedPkts)
 
@@ -129,24 +126,29 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		w.U64(ev.at)
 	}
 
-	// The wheel: its base cycle, then every flit and every credit event in
-	// due-cycle order, send order within a cycle.
-	w.U64(n.wheel.base)
-	w.Len(n.wheel.nflits)
-	n.wheel.forEach(func(due uint64, ev flitEvent) {
-		w.U64(due)
-		w.U32(uint32(pktIdx[ev.pkt]))
-		w.U32(uint32(ev.seq))
-		w.U32(uint32(ev.node))
-		w.U8(uint8(ev.port))
-		w.U8(ev.vc)
-		w.U8(uint8(ev.fate))
-	}, func(uint64, uint32) {})
-	w.Len(n.wheel.ncredits)
-	n.wheel.forEach(func(uint64, flitEvent) {}, func(due uint64, ev uint32) {
+	// The wheel: its base cycle, then its flits, credits and ejections,
+	// each list in due-cycle order and in list order within a cycle.
+	wh := &n.wheel
+	writeFlits := func(lists [][]flitEvent, count int) {
+		w.Len(count)
+		each(wh, lists, func(due uint64, ev flitEvent) {
+			w.U64(due)
+			w.U32(uint32(pktIdx[ev.pkt]))
+			w.U32(uint32(ev.seq))
+			w.U32(uint32(ev.node))
+			w.U8(uint8(ev.port))
+			w.U8(ev.vc)
+			w.U8(uint8(ev.fate))
+		})
+	}
+	w.U64(wh.base)
+	writeFlits(wh.flits, wh.nflits)
+	w.Len(wh.ncredits)
+	each(wh, wh.credits, func(due uint64, ev uint32) {
 		w.U64(due)
 		w.U32(ev)
 	})
+	writeFlits(wh.ejects, wh.nejects)
 
 	// Routers: pipeline state per input VC (occupied ring windows only),
 	// output credit/allocation state, arbitration pointers, counters.
@@ -175,7 +177,7 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 	}
 
 	// NIs: injection credit/VC state, per-vnet wait queues and active
-	// streams, delivery statistics.
+	// streams, statistics.
 	w.Len(len(n.NIs))
 	for _, ni := range n.NIs {
 		for _, c := range ni.outCredits {
@@ -205,21 +207,6 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		}
 		w.U64(ni.FlitsSent)
 		w.Int(ni.QueuedPkts)
-		// NI-bound link events, in FIFO order.
-		w.Len(len(ni.inFlits))
-		for _, ev := range ni.inFlits {
-			w.U32(uint32(pktIdx[ev.pkt]))
-			w.U32(uint32(ev.seq))
-			w.U8(ev.vc)
-			w.U8(uint8(ev.fate))
-			w.U64(ev.at)
-		}
-		w.Len(len(ni.inCredits))
-		for _, ev := range ni.inCredits {
-			w.U8(ev.vc)
-			w.Bool(ev.freeVC)
-			w.U64(ev.at)
-		}
 	}
 	w.End()
 	return nil
@@ -251,7 +238,6 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 	}
 	n.pktID = r.U64()
 	wantActivity := r.Int()
-	wantNIEvents := r.Int()
 	wantRouterFlits := r.Int()
 	wantQueuedPkts := r.Int()
 
@@ -377,10 +363,8 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 
 	// Recompute derived state from the restored ground truth.
 	n.routerActive = newActSet(nodes)
-	n.niActive = newActSet(nodes)
 	n.niInject = newActSet(nodes)
-	n.activity = n.wheel.nflits + n.wheel.ncredits + len(n.loopback)
-	n.niEvents = 0
+	n.activity = n.wheel.nflits + n.wheel.ncredits + n.wheel.nejects + len(n.loopback)
 	n.routerFlits = 0
 	n.queuedPkts = 0
 	for i, rt := range n.Routers {
@@ -392,22 +376,15 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		}
 	}
 	for i, ni := range n.NIs {
-		if k := len(ni.inFlits) + len(ni.inCredits); k > 0 {
-			n.niEvents += k
-			n.activity += k
-			n.niActive.set(i)
-		}
 		n.queuedPkts += ni.QueuedPkts
 		n.activity += ni.QueuedPkts
 		if ni.QueuedPkts > 0 {
 			n.niInject.set(i)
 		}
 	}
-	if n.activity != wantActivity || n.niEvents != wantNIEvents ||
-		n.routerFlits != wantRouterFlits || n.queuedPkts != wantQueuedPkts {
-		return fmt.Errorf("noc: restored activity (%d/%d/%d/%d) disagrees with snapshot (%d/%d/%d/%d)",
-			n.activity, n.niEvents, n.routerFlits, n.queuedPkts,
-			wantActivity, wantNIEvents, wantRouterFlits, wantQueuedPkts)
+	if n.activity != wantActivity || n.routerFlits != wantRouterFlits || n.queuedPkts != wantQueuedPkts {
+		return fmt.Errorf("noc: restored activity (%d/%d/%d) disagrees with snapshot (%d/%d/%d)",
+			n.activity, n.routerFlits, n.queuedPkts, wantActivity, wantRouterFlits, wantQueuedPkts)
 	}
 	if n.faults != nil {
 		n.resetLastDue()
@@ -434,9 +411,10 @@ func (n *Network) checkPacket(p *Packet) error {
 }
 
 // restoreWheel reads the wheel SnapshotTo wrote into the fresh wheel,
-// rejecting an event that is due outside the wheel's span, names a
-// router port with no link, a VC, fate or flit that does not exist, or a
-// credit for an output VC no router has.
+// rejecting an event that is due outside the wheel's span, a flit for a
+// router port with no link, an ejection for any port but an NI's, a VC,
+// fate or flit that does not exist, or a credit for a VC no linked router
+// port or NI has.
 func (n *Network) restoreWheel(r *checkpoint.Reader, flit func(i, seq uint32) (*Packet, int32, error)) error {
 	w := &n.wheel
 	w.base = r.U64()
@@ -446,26 +424,32 @@ func (n *Network) restoreWheel(r *checkpoint.Reader, flit func(i, seq uint32) (*
 		}
 		return nil
 	}
-	nf := r.Len()
-	for i := 0; i < nf && r.Err() == nil; i++ {
-		due := r.U64()
-		pi, seq := r.U32(), r.U32()
-		node, port, vc, f := r.U32(), Dir(r.U8()), r.U8(), fate(r.U8())
-		if r.Err() != nil {
-			break
+	readFlits := func(push func(uint64, flitEvent), eject bool) error {
+		nf := r.Len()
+		for i := 0; i < nf && r.Err() == nil; i++ {
+			due := r.U64()
+			pi, seq := r.U32(), r.U32()
+			node, port, vc, f := r.U32(), Dir(r.U8()), r.U8(), fate(r.U8())
+			if r.Err() != nil {
+				break
+			}
+			if err := inSpan(due); err != nil {
+				return err
+			}
+			p, sq, err := flit(pi, seq)
+			if err != nil {
+				return err
+			}
+			if int(node) >= n.Cfg.Nodes() || port < 0 || port >= NumDirs || !n.Cfg.linked(int(node), port) ||
+				eject && port != Local || int(vc) >= n.Cfg.VCs || f >= numFates {
+				return fmt.Errorf("noc: wheel flit for node %d port %d vc %d with fate %d (ejection: %v)", node, port, vc, f, eject)
+			}
+			push(due, flitEvent{pkt: p, seq: sq, node: int32(node), port: port, vc: vc, fate: f})
 		}
-		if err := inSpan(due); err != nil {
-			return err
-		}
-		p, sq, err := flit(pi, seq)
-		if err != nil {
-			return err
-		}
-		if int(node) >= n.Cfg.Nodes() || port < 0 || port >= NumDirs || !n.Cfg.linked(int(node), port) ||
-			int(vc) >= n.Cfg.VCs || f >= numFates {
-			return fmt.Errorf("noc: wheel flit for router %d port %d vc %d with fate %d", node, port, vc, f)
-		}
-		w.pushFlit(due, flitEvent{pkt: p, seq: sq, node: int32(node), port: port, vc: vc, fate: f})
+		return r.Err()
+	}
+	if err := readFlits(w.pushFlit, false); err != nil {
+		return err
 	}
 	nc := r.Len()
 	for i := 0; i < nc && r.Err() == nil; i++ {
@@ -477,17 +461,17 @@ func (n *Network) restoreWheel(r *checkpoint.Reader, flit func(i, seq uint32) (*
 			return err
 		}
 		idx := int(ev >> 1)
-		if idx >= len(n.credits) || !n.Cfg.linked(idx/n.perRouter, Dir(idx%n.perRouter/n.Cfg.VCs)) {
-			return fmt.Errorf("noc: wheel credit for router VC %d of %d, or of a port with no link", idx, len(n.credits))
+		if idx >= len(n.credits) || idx < n.niBase && !n.Cfg.linked(idx/n.perRouter, Dir(idx%n.perRouter/n.Cfg.VCs)) {
+			return fmt.Errorf("noc: wheel credit for VC %d of %d, or of a router port with no link", idx, len(n.credits))
 		}
 		w.pushCredit(due, ev)
 	}
-	return r.Err()
+	return readFlits(w.pushEject, true)
 }
 
-// restore reads the NI record SnapshotTo wrote, rejecting a stream or an
-// NI-bound event that names a VC or flit that does not exist, and a
-// queued-packet count that disagrees with the queues and streams.
+// restore reads the NI record SnapshotTo wrote, rejecting a stream that
+// names a VC or flit that does not exist, and a queued-packet count that
+// disagrees with the queues and streams.
 func (ni *NI) restore(r *checkpoint.Reader, pkt func(uint32) *Packet, flit func(i, seq uint32) (*Packet, int32, error)) error {
 	depth, vcs := ni.cfg.VCDepth, ni.cfg.VCs
 	for v := range ni.outCredits {
@@ -524,32 +508,6 @@ func (ni *NI) restore(r *checkpoint.Reader, pkt func(uint32) *Packet, flit func(
 	ni.QueuedPkts = r.Int()
 	if r.Err() == nil && ni.QueuedPkts != queued {
 		return fmt.Errorf("noc: NI %d counts %d queued packets, holds %d", ni.node, ni.QueuedPkts, queued)
-	}
-	nf := r.Len()
-	ni.inFlits = ni.inFlits[:0]
-	for i := 0; i < nf && r.Err() == nil; i++ {
-		pi, seq := r.U32(), r.U32()
-		vc, f, at := r.U8(), fate(r.U8()), r.U64()
-		if r.Err() != nil {
-			break
-		}
-		p, sq, err := flit(pi, seq)
-		if err != nil {
-			return err
-		}
-		if int(vc) >= vcs || f >= numFates {
-			return fmt.Errorf("noc: NI %d ejection flit on vc %d with fate %d", ni.node, vc, f)
-		}
-		ni.inFlits = append(ni.inFlits, niFlit{pkt: p, seq: sq, vc: vc, fate: f, at: at})
-	}
-	nc := r.Len()
-	ni.inCredits = ni.inCredits[:0]
-	for i := 0; i < nc && r.Err() == nil; i++ {
-		vc, free, at := r.U8(), r.Bool(), r.U64()
-		if r.Err() == nil && int(vc) >= vcs {
-			return fmt.Errorf("noc: NI %d credit on vc %d", ni.node, vc)
-		}
-		ni.inCredits = append(ni.inCredits, niCredit{at: at, vc: vc, freeVC: free})
 	}
 	return r.Err()
 }

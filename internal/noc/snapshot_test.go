@@ -153,24 +153,24 @@ func TestRestoreBuildsOnlyUsedRouters(t *testing.T) {
 }
 
 // TestRestoreRejectsForgedLinks forges the link events a snapshot carries
-// — wheel flits and credits, NI-bound flits and credits — and checks that
-// restore reports each forgery, where a run from the restored state would
-// index out of range, route off the mesh or read a missing flit.
+// — the wheel's flits, credits and ejections — and checks that restore
+// reports each forgery, where a run from the restored state would index
+// out of range, route off the mesh or read a missing flit.
 func TestRestoreRejectsForgedLinks(t *testing.T) {
 	cfg := testConfig(4, 4, false)
-	// A packet across the mesh until the wheel holds a flit and a credit
-	// while the destination NI's ejection queue holds a flit.
+	// A packet across the mesh until the wheel holds a flit, a credit and
+	// an ejection.
 	busy := func() *Network {
 		n := MustNetwork(cfg)
 		n.SetSink(15, func(uint64, *Packet) {})
 		n.Send(0, n.NewPacket(0, 15, ClassData, VNetResponse, nil))
 		for now := uint64(1); now < 200; now++ {
 			n.Tick(now)
-			if n.wheel.nflits > 0 && n.wheel.ncredits > 0 && len(n.NIs[15].inFlits) > 0 {
+			if n.wheel.nflits > 0 && n.wheel.ncredits > 0 && n.wheel.nejects > 0 {
 				return n
 			}
 		}
-		t.Fatal("no cycle held a wheel flit, a wheel credit and an ejection flit")
+		t.Fatal("no cycle held a wheel flit, a wheel credit and an ejection")
 		return nil
 	}
 	restore := func(n *Network) error {
@@ -180,15 +180,17 @@ func TestRestoreRejectsForgedLinks(t *testing.T) {
 		}
 		return MustNetwork(cfg).RestoreFrom(checkpoint.NewReader(w.Snapshot()), nil)
 	}
-	firstFlit := func(n *Network) *flitEvent {
-		for i := range n.wheel.flits {
-			if len(n.wheel.flits[i]) > 0 {
-				return &n.wheel.flits[i][0]
+	firstOf := func(lists [][]flitEvent) *flitEvent {
+		for i := range lists {
+			if len(lists[i]) > 0 {
+				return &lists[i][0]
 			}
 		}
-		t.Fatal("the wheel holds no flit")
+		t.Fatal("the wheel holds no such event")
 		return nil
 	}
+	firstFlit := func(n *Network) *flitEvent { return firstOf(n.wheel.flits) }
+	firstEject := func(n *Network) *flitEvent { return firstOf(n.wheel.ejects) }
 	firstCredit := func(n *Network) *uint32 {
 		for i := range n.wheel.credits {
 			if len(n.wheel.credits[i]) > 0 {
@@ -208,13 +210,16 @@ func TestRestoreRejectsForgedLinks(t *testing.T) {
 		"flit with unknown fate":  func(n *Network) { firstFlit(n).fate = numFates },
 		"flit off the mesh":       func(n *Network) { firstFlit(n).node = int32(cfg.Nodes()) },
 		"flit into a port edge":   func(n *Network) { ev := firstFlit(n); ev.node, ev.port = 0, North },
-		"credit for no router VC": func(n *Network) { *firstCredit(n) = uint32(len(n.credits)) << 1 },
+		"credit for no VC":        func(n *Network) { *firstCredit(n) = uint32(len(n.credits)) << 1 },
 		"credit into a port edge": func(n *Network) { *firstCredit(n) = uint32(n.creditIndex(0, West, 0)) << 1 },
-		"ejection flit on VC VCs": func(n *Network) { n.NIs[15].inFlits[0].vc = uint8(cfg.VCs) },
-		"ejection flit past its packet": func(n *Network) {
-			ev := &n.NIs[15].inFlits[0]
+		"ejection on VC VCs":      func(n *Network) { firstEject(n).vc = uint8(cfg.VCs) },
+		"ejection past its packet": func(n *Network) {
+			ev := firstEject(n)
 			ev.seq = int32(ev.pkt.Size)
 		},
+		"ejection with unknown fate":  func(n *Network) { firstEject(n).fate = numFates },
+		"ejection off the mesh":       func(n *Network) { firstEject(n).node = int32(cfg.Nodes()) },
+		"ejection into a router port": func(n *Network) { firstEject(n).port = West },
 	} {
 		n := busy()
 		forge(n)

@@ -75,20 +75,22 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapStopsClaimingAfterFailure has every item fail, so each worker
+// records a failure before it could claim a second item: a Map that stops
+// claiming after a failure runs at most one item per worker however the
+// workers are scheduled, and one that keeps claiming runs all of them.
 func TestMapStopsClaimingAfterFailure(t *testing.T) {
+	const n, jobs = 1000, 4
 	var ran atomic.Int64
-	_, err := Map(1000, 2, func(i int) (int, error) {
+	_, err := Map(n, jobs, func(i int) (int, error) {
 		ran.Add(1)
-		if i == 0 {
-			return 0, fmt.Errorf("early failure")
-		}
-		return i, nil
+		return 0, fmt.Errorf("item %d failed", i)
 	}, nil)
-	if err == nil {
-		t.Fatal("expected error")
+	if err == nil || err.Error() != "item 0 failed" {
+		t.Fatalf("err = %v, want item 0's failure", err)
 	}
-	if n := ran.Load(); n > 100 {
-		t.Fatalf("ran %d items after an index-0 failure; expected the pool to stop early", n)
+	if got := ran.Load(); got > jobs {
+		t.Fatalf("ran %d of %d failing items on %d workers; expected the pool to stop claiming", got, n, jobs)
 	}
 }
 
